@@ -177,15 +177,47 @@ class AsymptoticProblem:
         value, _ = maximize_concave(lambda t: t * a - self.psi(t), 0.0, 1.0)
         return value
 
+    def _legendre_gap(self, t: float) -> float:
+        """g(t) = (t - 1) psi'(t) - psi(t), summed node by node.
+
+        With s = 1 - t, L = log(r1 / r2) and w = r1 exp(-s L), the node term
+        log(1 + q1) + log(1 - w) - s w L / (1 - w) is written with
+        (1 + q1)(1 - w) = 1 - q1 expm1(-s L).  Both parts are O(s) and g is
+        O(s^2) near t = 1.  Formed as psi' and psi, g carries float noise of
+        about 1e-16, which moves a_r by up to sqrt(2e-16 psi'') at small r
+        (2.5e-9 at r = 0 for the constant pair q1 = 1, q2 = 2).
+        """
+        s = 1.0 - t
+        w = self._w(t)
+        L = self._log_ratio()
+        return self._mean(np.log1p(-self.q1 * np.expm1(-s * L)) - s * w * L / (1.0 - w))
+
     def hoeffding_threshold(self, r: float) -> float:
-        """The unique a with polar(a) - a = r, for 0 <= r < d21."""
+        """The unique a with polar(a) - a = r, for 0 <= r < d21.
+
+        By Legendre duality a_r = psi'(t_r), where t_r is the one root in
+        [0, 1] of g(t) = (t - 1) psi'(t) - psi(t) = r: g decreases, since
+        g'(t) = (t - 1) psi''(t) <= 0, from g(0) = d21 to g(1) = 0.  The
+        root is bisected in t to a tolerance that keeps the error of a_r
+        below 1e-11 absolute while max psi'' <= 2e4.  The result is still
+        cross-checked against an independent search: polar(a_r) must equal
+        mean_hoeffding(r) to 1e-7.
+        """
         self._require_strict()
         d21 = -self.dpsi_boundary("right_at_0")
         if not 0.0 <= r < d21:
             raise ParameterOutOfRange(f"r must lie in [0, {d21:.12g}), got {r}")
-        lo = self.dpsi_boundary("right_at_0") - 1e-12
-        hi = self.dpsi_boundary("left_at_1") + 1e-12
-        a_r = bisect_decreasing(lambda a: (self.polar(a) - a) - r, lo, hi)
+        # Budget on a_r: |error| <= max psi'' * tol_t / 2 <= 1e-11, since
+        # w_t <= m = max(r1, r2) nodewise and w / (1 - w)^2 increases, so
+        # psi''(t) <= mean(m L^2 / (1 - m)^2) on [0, 1].  The 1e-15 floor
+        # keeps the bracket above the float spacing near t = 1; it binds
+        # only for curvature bounds above 2e4, where the budget becomes
+        # 5e-16 times the bound.
+        m = np.maximum(self.r1, self.r2)
+        curvature = self._mean(m * self._log_ratio() ** 2 / (1.0 - m) ** 2)
+        tol_t = max(2e-11 / curvature, 1e-15)
+        t_r = bisect_decreasing(lambda t: self._legendre_gap(t) - r, 0.0, 1.0, tol=tol_t)
+        a_r = self.psi_prime(t_r)
         gap = abs(self.polar(a_r) - self.mean_hoeffding(r))
         if gap > 1e-7:
             raise DomainError(

@@ -77,6 +77,33 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is a subclass of int but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number; the json module accepts NaN and Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _complex(name: str, re, im=0.0) -> complex:
+    if not (_is_number(re) and _is_number(im)):
+        raise ValidationError(name, "real and imaginary parts must be finite numbers")
+    return complex(re, im)
+
+
+def _index(name: str, parts) -> tuple:
+    if not isinstance(parts, list) or not all(_is_int(k) for k in parts):
+        raise ValidationError(name, "an index or site must be a list of integers")
+    return tuple(parts)
+
+
 def _parse_symbol(name: str, value, dim: int, grid: int | None) -> SymbolSpec:
     coeffs = {}
     if isinstance(value, dict):
@@ -89,9 +116,9 @@ def _parse_symbol(name: str, value, dim: int, grid: int | None) -> SymbolSpec:
                 extra = set(entry) - {"re", "im"}
                 if extra:
                     raise ValidationError(name, f"unknown coefficient keys {sorted(extra)}")
-                coeffs[index] = complex(entry.get("re", 0.0), entry.get("im", 0.0))
+                coeffs[index] = _complex(name, entry.get("re", 0.0), entry.get("im", 0.0))
             else:
-                coeffs[index] = complex(entry)
+                coeffs[index] = _complex(name, entry)
     elif isinstance(value, list):
         for rec in value:
             if not isinstance(rec, dict):
@@ -101,8 +128,8 @@ def _parse_symbol(name: str, value, dim: int, grid: int | None) -> SymbolSpec:
                 raise ValidationError(name, f"unknown coefficient keys {sorted(extra)}")
             if "index" not in rec:
                 raise ValidationError(name, "coefficient record is missing 'index'")
-            coeffs[tuple(int(k) for k in rec["index"])] = complex(
-                rec.get("re", 0.0), rec.get("im", 0.0)
+            coeffs[_index(name, rec["index"])] = _complex(
+                name, rec.get("re", 0.0), rec.get("im", 0.0)
             )
     else:
         raise ValidationError(name, "symbol must be an object or a list of records")
@@ -110,6 +137,8 @@ def _parse_symbol(name: str, value, dim: int, grid: int | None) -> SymbolSpec:
 
 
 def _parse_displacement(name: str, value, dim: int) -> DisplacementSpec:
+    if value is not None and not isinstance(value, list):
+        raise ValidationError(name, "displacement must be a list of records")
     support = {}
     for rec in value or []:
         if not isinstance(rec, dict):
@@ -119,8 +148,8 @@ def _parse_displacement(name: str, value, dim: int) -> DisplacementSpec:
             raise ValidationError(name, f"unknown displacement keys {sorted(extra)}")
         if "site" not in rec:
             raise ValidationError(name, "displacement record is missing 'site'")
-        support[tuple(int(k) for k in rec["site"])] = complex(
-            rec.get("re", 0.0), rec.get("im", 0.0)
+        support[_index(name, rec["site"])] = _complex(
+            name, rec.get("re", 0.0), rec.get("im", 0.0)
         )
     return make_displacement(dim, support)
 
@@ -143,14 +172,14 @@ def parse_config(text: str) -> RunConfig:
     if command not in COMMANDS:
         raise ValidationError("command", f"must be one of {COMMANDS}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ValidationError("dim", "must be a positive integer")
     kappa = doc["kappa"]
-    if not isinstance(kappa, (int, float)) or kappa <= 0:
-        raise ValidationError("kappa", "must be a positive number")
+    if not _is_number(kappa) or kappa <= 0:
+        raise ValidationError("kappa", "must be a positive finite number")
 
     grid = doc.get("symbol_grid")
-    if grid is not None and (not isinstance(grid, int) or grid < 2):
+    if grid is not None and (not _is_int(grid) or grid < 2):
         raise ValidationError("symbol_grid", "must be an integer >= 2")
     q1 = _parse_symbol("q1", doc["q1"], dim, grid)
     q2 = _parse_symbol("q2", doc["q2"], dim, grid)
@@ -163,22 +192,22 @@ def parse_config(text: str) -> RunConfig:
 
     def positive_int(key, default):
         value = doc.get(key, default)
-        if value is not None and (not isinstance(value, int) or value < 1):
+        if value is not None and (not _is_int(value) or value < 1):
             raise ValidationError(key, "must be a positive integer")
         return value
 
     t_grid = doc.get("t_grid", 101)
-    if not isinstance(t_grid, int) or t_grid < 0:
+    if not _is_int(t_grid) or t_grid < 0:
         raise ValidationError("t_grid", "must be a nonnegative integer")
     n_list = doc.get("n_list", [1, 2, 3, 4])
-    if not isinstance(n_list, list) or not all(isinstance(n, int) and n >= 1 for n in n_list):
+    if not isinstance(n_list, list) or not all(_is_int(n) and n >= 1 for n in n_list):
         raise ValidationError("n_list", "must be a list of positive integers")
     r_list = doc.get("r_list", [])
-    if not all(isinstance(r, (int, float)) and r >= 0 for r in r_list):
-        raise ValidationError("r_list", "rates must be nonnegative numbers")
+    if not isinstance(r_list, list) or not all(_is_number(r) and r >= 0 for r in r_list):
+        raise ValidationError("r_list", "rates must be nonnegative finite numbers")
     a_list = doc.get("a_list", [])
-    if not all(isinstance(a, (int, float)) for a in a_list):
-        raise ValidationError("a_list", "must be a list of numbers")
+    if not isinstance(a_list, list) or not all(_is_number(a) for a in a_list):
+        raise ValidationError("a_list", "must be a list of finite numbers")
     fmt = doc.get("format", "json")
     if fmt not in ("csv", "json"):
         raise ValidationError("format", "must be 'csv' or 'json'")

@@ -8,6 +8,7 @@ supported displacement vector and the commutation parameter kappa.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -115,6 +116,8 @@ def make_trig_symbol(
     normalized: dict[tuple, complex] = {}
     for key, value in coeffs.items():
         normalized[_as_multi_index(key, dim)] = complex(value)
+    if not np.all(np.isfinite(list(normalized.values()))):
+        raise ValidationError("coeffs", "Fourier coefficients must be finite")
 
     completed: dict[tuple, complex] = {}
     for j, c in sorted(normalized.items()):
@@ -168,6 +171,8 @@ def make_displacement(dim: int, support: Mapping | None = None) -> DisplacementS
                 "support", f"site {site} lies outside the nonnegative orthant"
             )
         entries[site] = complex(value)
+        if not np.isfinite(entries[site]):
+            raise ValidationError("support", f"displacement at site {site} is not finite")
     return DisplacementSpec(dim=dim, support=MappingProxyType(entries))
 
 
@@ -180,8 +185,8 @@ class GaussianStateSpec:
     kappa: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValidationError("kappa", "must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValidationError("kappa", "must be positive and finite")
         if self.symbol.dim != self.displacement.dim:
             raise ValidationError("dim", "symbol and displacement dimensions differ")
 

@@ -11,6 +11,7 @@ from gaussht import (
     make_displacement,
     make_trig_symbol,
 )
+from gaussht._search import bisect_decreasing
 
 
 def make_problem(coeffs1, coeffs2, kappa=0.5, dim=1, y1=None, y2=None):
@@ -61,6 +62,16 @@ def classical_min_error(q1, q2, copies):
         ratio = (k + 1 + copies) / (k + 2) * xs
         if ratio < 1 and math.exp(log_term(xs, k + 1)) / (1 - ratio) <= sys.float_info.epsilon * acc:
             return acc
+
+
+def nested_hoeffding_threshold(ap, r):
+    """Independent oracle for ``AsymptoticProblem.hoeffding_threshold``: the
+    a with polar(a) - a = r, by bisection over a, each step running a full
+    golden-section ``polar`` search.  The bracket [-d21, d12] is padded by
+    1e-12 on each side."""
+    lo = ap.dpsi_boundary("right_at_0") - 1e-12
+    hi = ap.dpsi_boundary("left_at_1") + 1e-12
+    return bisect_decreasing(lambda a: (ap.polar(a) - a) - r, lo, hi)
 
 
 def random_hermitian(rng, n, scale=1.0):

@@ -25,7 +25,7 @@ from gaussht.errors import (
 )
 from gaussht.lattice import restrict_symbol
 
-from conftest import make_problem
+from conftest import make_problem, nested_hoeffding_threshold
 
 RULE = make_rule(1)
 
@@ -159,6 +159,61 @@ def test_hoeffding_threshold():
     for r in (0.0, 0.1):
         with pytest.raises(ParameterOutOfRange):
             hoeffding_threshold(make_problem(1.0, 1.0), r, RULE)
+
+
+THRESHOLD_CASES = [
+    (make_problem(1.0, 2.0), RULE),
+    (make_problem({0: 1.5, 1: 0.5, -1: 0.5}, 2.0), RULE),
+    (
+        make_problem(
+            {(0, 0): 2.0, (1, 0): 0.25, (-1, 0): 0.25, (0, 1): 0.25, (0, -1): 0.25}, 1.0, dim=2
+        ),
+        make_rule(2, 16),
+    ),
+    (
+        make_problem(
+            {(0, 0, 0): 0.7, (1, 0, 0): 0.2, (-1, 0, 0): 0.2, (0, 0, 1): 0.1, (0, 0, -1): 0.1},
+            1.6,
+            dim=3,
+        ),
+        make_rule(3, 8),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "prob, rule", THRESHOLD_CASES, ids=["dim1-constant", "dim1", "dim2", "dim3"]
+)
+def test_hoeffding_threshold_matches_nested_oracle(prob, rule):
+    """The Legendre root agrees with bisection over the golden-section polar."""
+    ap = AsymptoticProblem(prob, rule)
+    d21 = -ap.dpsi_boundary("right_at_0")
+    # the ends of the root's bracket in t: psi'(0) = -d21 and psi'(1) = d12
+    assert ap.psi_prime(0.0) == pytest.approx(ap.dpsi_boundary("right_at_0"), rel=1e-12)
+    assert ap.psi_prime(1.0) == pytest.approx(ap.dpsi_boundary("left_at_1"), rel=1e-12)
+    for fraction in (0.0, 0.2, 0.5, 0.8, 0.99):
+        r = fraction * d21
+        assert ap.hoeffding_threshold(r) == pytest.approx(
+            nested_hoeffding_threshold(ap, r), abs=1e-9
+        )
+
+
+def test_hoeffding_threshold_psi_evaluation_count():
+    """One threshold is one root in t plus the polar / mean_hoeffding gate,
+    about 160 psi evaluations; the nested search took about 2700."""
+    ap = AsymptoticProblem(make_problem({0: 1.5, 1: 0.5, -1: 0.5}, 2.0), RULE)
+    d21 = -ap.dpsi_boundary("right_at_0")
+    calls = 0
+    psi = ap.psi
+
+    def counting_psi(t):
+        nonlocal calls
+        calls += 1
+        return psi(t)
+
+    ap.psi = counting_psi
+    ap.hoeffding_threshold(0.5 * d21)
+    assert 0 < calls <= 300
 
 
 def test_hoeffding_matches_polar_at_threshold():

@@ -60,6 +60,73 @@ def test_parse_errors():
         parse_config(config_text(y1=[{"re": 1.0}]))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dim", True),
+        ("kappa", True),
+        ("t_grid", True),
+        ("quadrature_points", True),
+        ("symbol_grid", True),
+        ("fock_cutoff", True),
+        ("basis_cap", True),
+        ("dense_cap", True),
+        ("n_list", [1, True]),
+        ("r_list", [0.05, True]),
+        ("a_list", [False]),
+    ],
+)
+def test_booleans_are_not_numbers(key, value):
+    with pytest.raises(ValidationError) as err:
+        parse_config(config_text(**{key: value}))
+    assert err.value.field == key
+
+
+def test_boolean_dim_exits_with_named_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(config_text(dim=True))
+    assert main([str(path), "--out", str(tmp_path)]) == 1
+    assert "ValidationError: dim:" in capsys.readouterr().err
+
+
+def test_nan_kappa_rejected_as_kappa():
+    with pytest.raises(ValidationError) as err:
+        parse_config(config_text(kappa=float("nan")))
+    assert err.value.field == "kappa"
+    assert "different kappa" not in str(err.value)
+
+
+def test_infinite_kappa_rejected():
+    with pytest.raises(ValidationError) as err:
+        parse_config(config_text(kappa=float("inf")))
+    assert err.value.field == "kappa"
+
+
+def test_infinite_polar_argument_rejected():
+    with pytest.raises(ValidationError) as err:
+        parse_config('{"dim": 1, "kappa": 0.5, "q1": {"0": 1}, "q2": {"0": 2},'
+                     ' "command": "asymptotic", "a_list": [Infinity]}')
+    assert err.value.field == "a_list"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("q1", {"0": True}),
+        ("q1", {"0": "3"}),
+        ("q1", {"0": {"re": 1.0, "im": float("nan")}}),
+        ("q1", [{"index": [0.7], "re": 1.0}]),
+        ("y1", [{"site": [0], "re": float("nan")}]),
+        ("y1", [{"site": [True], "re": 1.0}]),
+        ("y1", 5),
+    ],
+)
+def test_coefficients_and_sites_are_checked(key, value):
+    with pytest.raises(ValidationError) as err:
+        parse_config(config_text(**{key: value}))
+    assert err.value.field == key
+
+
 def test_run_asymptotic_identical_states(tmp_path):
     config = parse_config(config_text(q2={"0": 1}, t_grid=5))
     assert run(config, out_dir=tmp_path) == 0

@@ -100,6 +100,8 @@ def test_displacement_validation():
         make_displacement(1, {-1: 1.0})
     with pytest.raises(ValidationError):
         make_displacement(2, {(0, -3): 1.0})
+    with pytest.raises(ValidationError):
+        make_displacement(1, {0: complex(float("nan"), 0.0)})
 
 
 def test_problem_consistency_checks():
@@ -123,3 +125,23 @@ def test_vacuum_flag():
     assert make_trig_symbol(1, {}).is_vacuum
     assert make_trig_symbol(1, {0: 0.0}).is_vacuum
     assert not make_trig_symbol(1, {0: 1e-9}).is_vacuum
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+def test_non_finite_kappa_rejected(kappa):
+    with pytest.raises(ValidationError) as err:
+        GaussianStateSpec(
+            symbol=make_trig_symbol(1, {0: 1.0}),
+            displacement=make_displacement(1),
+            kappa=kappa,
+        )
+    assert err.value.field == "kappa"
+
+
+@pytest.mark.parametrize(
+    "coeff", [float("nan"), float("inf"), complex(0.1, float("nan")), complex(float("-inf"), 0)]
+)
+def test_non_finite_coefficients_rejected(coeff):
+    with pytest.raises(ValidationError) as err:
+        make_trig_symbol(1, {0: 2.0, 1: coeff})
+    assert err.value.field == "coeffs"
