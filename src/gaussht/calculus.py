@@ -87,20 +87,12 @@ def support_power(values: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def psd_power(es: EigenSystem, t: float) -> np.ndarray:
-    """Fractional power of a PSD matrix on its support (0**t = 0)."""
-    return _apply_values(es, support_power(psd_values(es.values), t))
-
-
 def sandwich_power(r1: np.ndarray, r2: np.ndarray, t: float) -> np.ndarray:
     """R1^(t/2) R2^(1-t) R1^(t/2), powers taken on the support only.
 
     For t outside [0, 1] both factors must be positive definite.
     """
-    return sandwich_power_es(eigh(r1), eigh(r2), t)
-
-
-def sandwich_power_es(es1: EigenSystem, es2: EigenSystem, t: float) -> np.ndarray:
+    es1, es2 = eigh(r1), eigh(r2)
     v1 = psd_values(es1.values)
     v2 = psd_values(es2.values)
     if not 0.0 <= t <= 1.0:

@@ -22,7 +22,6 @@ from .errors import (
     GaussHTError,
     IoError,
     ParseError,
-    StrictPositivityRequired,
     ValidationError,
 )
 from .symbols import (
@@ -489,9 +488,6 @@ def run(config: RunConfig, out_dir: Path | None = None) -> int:
     except (ValidationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except StrictPositivityRequired as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except GaussHTError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

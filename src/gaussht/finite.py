@@ -8,8 +8,39 @@ is, for t in [0, 1],
     psi_n(t) = log c_t + t log N_1 + (1 - t) log N_2 - Tr log(I - W_t),
 
 with W_t = R_1^(t/2) R_2^(1-t) R_1^(t/2) and c_t the displacement factor.
-R is always computed from the restricted Q, never by restricting a
-pre-built contraction.
+
+Real frame.  Let J reverse the lexicographic site index (it flips every axis
+of the cube) and U = (I + iJ)/sqrt(2).  Every restricted symbol matrix is
+Hermitian multilevel Toeplitz, so J Q J = conj(Q), and
+
+    U* Q U = (Q + JQJ)/2 + i (QJ - JQ)/2
+
+is real symmetric; it is formed in O(N^2) by index reversal.  The same U
+serves both states, so each state is diagonalised once, in real arithmetic:
+U* Q U = V diag(q) V^T, and r = q / (1 + q) are the eigenvalues of R.  Only
+the displacement stays complex, as U* ybar.
+
+Per problem, C = V_2^T V_1 and z = V_1^T U* ybar are formed once.  Per t,
+
+    K = diag(r_2^((1-t)/2)) C diag(r_1^(t/2))      (powers with 0^t = 0),
+
+whose Gram matrix K^T K has the spectrum of W_t, so
+
+    -Tr log(I - W_t) = -2 sum log diag chol(I - K^T K).
+
+A failed Cholesky means W_t has an eigenvalue >= 1: ``psi`` raises
+DomainError, and ``psi_extended``, which also factors
+(1 - W_ONE_TOL) I - K^T K, raises NotTraceClass.  The displacement factor is
+c_t = exp(-2 kappa <B^-1 z, z>) with the bracket, in the eigenbasis of
+state 1,
+
+    B = diag(f_t(r_1)) + (sqrt(f_(1-t)(r_2)) C)^T (sqrt(f_(1-t)(r_2)) C),
+
+f_s(r) = (1 + r^s) / (1 - r^s); one Cholesky of B is solved against the real
+and imaginary parts of z, and a failed one raises DomainError.  At t = 0
+and t = 1 the bracket of a vacuum state is 2 Q + 2 I of the other state,
+diagonal in its eigenbasis.  The relative entropies are spectral sums over
+the overlaps P = (V_b^T V_a)^2.
 """
 
 from __future__ import annotations
@@ -20,14 +51,7 @@ from typing import Mapping
 import numpy as np
 
 from ._search import maximize_concave, minimize_convex
-from .calculus import (
-    EigenSystem,
-    apply_fn,
-    eigh,
-    psd_values,
-    sandwich_power_es,
-    support_power,
-)
+from .calculus import eigh, psd_values, support_power
 from .errors import (
     DisplacementMismatch,
     DomainError,
@@ -42,46 +66,78 @@ from .symbols import DiscriminationProblem, GaussianStateSpec, strict_positivity
 W_ONE_TOL = 1e-12
 
 
+def real_frame(m: np.ndarray) -> np.ndarray:
+    """U* M U with U = (I + iJ)/sqrt(2), J the reversal of the site index.
+
+    Real symmetric when J M J = conj(M), as for every restricted symbol
+    matrix; the imaginary part, zero in that case, is not formed.
+    """
+    return m.real + 0.5 * (m[::-1].imag - m[:, ::-1].imag)
+
+
+def site_frame(m: np.ndarray) -> np.ndarray:
+    """U M U*, the inverse of ``real_frame`` on real symmetric matrices."""
+    return 0.5 * (m + m[::-1, ::-1]) + 0.5j * (m[::-1] - m[:, ::-1])
+
+
 @dataclass(frozen=True)
 class FiniteStateData:
-    """One hypothesis restricted to C_n: matrices, normalization, displacement."""
+    """One hypothesis restricted to C_n, held by its real-frame eigensystem.
+
+    ``q`` are the eigenvalues of the restricted symbol matrix Q, with rounding
+    noise in (-1e-9, 0) clipped to 0; ``clipped`` is the most negative value
+    so clipped (0.0 when none was).  ``V`` holds the real orthonormal
+    eigenvectors of U* Q U, ``logN = -Tr log(I + Q)``, and ``y`` is the
+    displacement on the sites.  The site-basis ``Q`` and ``R`` are rebuilt
+    on demand.
+    """
 
     n: int
-    Q: np.ndarray
-    R: np.ndarray
+    q: np.ndarray
+    V: np.ndarray
     logN: float
     y: np.ndarray
-    eig: EigenSystem  # eigensystem of Q, shared by all scalar functions of it
+    clipped: float
+
+    @property
+    def Q(self) -> np.ndarray:
+        return site_frame((self.V * self.q) @ self.V.T)
+
+    @property
+    def R(self) -> np.ndarray:
+        return site_frame((self.V * (self.q / (1.0 + self.q))) @ self.V.T)
 
 
 def build_state_data(
     state: GaussianStateSpec, n: int, dense_cap: int = DENSE_CAP
 ) -> FiniteStateData:
     """Restrict a Gaussian state spec to the cube of side n."""
-    Q = restrict_symbol(state.symbol, n, dense_cap=dense_cap)
-    es = eigh(Q)
-    vals = psd_values(es.values, clip=1e-9)
-    es = EigenSystem(values=vals, vectors=es.vectors)
-    R = apply_fn(es, lambda s: s / (1.0 + s))
-    logN = -float(np.sum(np.log1p(vals)))
+    es = eigh(real_frame(restrict_symbol(state.symbol, n, dense_cap=dense_cap)))
+    q = psd_values(es.values, clip=1e-9)
     indexer = SiteIndexer(dim=state.symbol.dim, side=n)
-    y = restrict_displacement(state.displacement, n, indexer)
-    return FiniteStateData(n=n, Q=Q, R=R, logN=logN, y=y, eig=es)
+    return FiniteStateData(
+        n=n,
+        q=q,
+        V=es.vectors,
+        logN=-float(np.sum(np.log1p(q))),
+        y=restrict_displacement(state.displacement, n, indexer),
+        clipped=float(es.values.min(initial=0.0)),
+    )
 
 
-def _solve_quadratic_form(es: EigenSystem, rhs: np.ndarray) -> float:
-    """<B^-1 rhs, rhs> for Hermitian positive definite B given by its eigensystem."""
-    if es.values.min(initial=np.inf) <= 0:
-        raise DomainError("bracket matrix is singular")
-    z = es.vectors.conj().T @ rhs
-    return float(np.real(np.sum(np.abs(z) ** 2 / es.values)))
+def _bracket_weights(r: np.ndarray, s: float) -> np.ndarray:
+    # f_s on the symbol a = 1 + 2q, expressed through r = q/(1+q):
+    # f_s(a) = (1 + r^s) / (1 - r^s), with 0^s = 0 on the kernel.
+    u = support_power(r, s)
+    return (1.0 + u) / (1.0 - u)
 
 
 class FiniteProblem:
     """Cached finite-volume data for one (problem, n) pair.
 
-    Builds both FiniteStateData once; t-grid evaluations reuse the stored
-    eigensystems.
+    Builds both FiniteStateData once, then the overlap C = V2^T V1 and the
+    displacement z = V1^T U* ybar; each t costs a Gram product and a
+    Cholesky (two of each with a displacement).
     """
 
     def __init__(self, problem: DiscriminationProblem, n: int, dense_cap: int = DENSE_CAP):
@@ -91,20 +147,14 @@ class FiniteProblem:
         self.data1 = build_state_data(problem.state1, n, dense_cap)
         self.data2 = build_state_data(problem.state2, n, dense_cap)
         self.ybar = self.data2.y - self.data1.y
-        r1 = self.data1.eig.values / (1.0 + self.data1.eig.values)
-        r2 = self.data2.eig.values / (1.0 + self.data2.eig.values)
-        self._es_r1 = EigenSystem(values=r1, vectors=self.data1.eig.vectors)
-        self._es_r2 = EigenSystem(values=r2, vectors=self.data2.eig.vectors)
+        self._r1 = self.data1.q / (1.0 + self.data1.q)
+        self._r2 = self.data2.q / (1.0 + self.data2.q)
+        self._c = self.data2.V.T @ self.data1.V
+        self._z = self.data1.V.T @ ((self.ybar - 1j * self.ybar[::-1]) / np.sqrt(2.0))
 
     @property
     def has_displacement(self) -> bool:
         return bool(np.any(self.ybar != 0))
-
-    def _f_matrix(self, es_r: EigenSystem, t: float) -> np.ndarray:
-        # f_t on the symbol a = 1 + 2q, expressed through r = q/(1+q):
-        # f_t(a) = (1 + r^t) / (1 - r^t), with 0^t = 0 on the kernel.
-        u = support_power(es_r.values, t)
-        return (es_r.vectors * ((1.0 + u) / (1.0 - u))) @ es_r.vectors.conj().T
 
     def displacement_factor(self, t: float) -> float:
         """The factor c_t in (0, 1]; equals 1 exactly when the displacements agree."""
@@ -115,21 +165,42 @@ class FiniteProblem:
         if t == 0.0:
             if not self.problem.state1.symbol.is_vacuum:
                 return 1.0
-            bracket = 2.0 * self.data2.Q + 2.0 * np.eye(len(self.data2.Q))
+            # bracket 2 Q2 + 2 I, diagonal in the eigenbasis of state 2
+            quad = np.sum(np.abs(self._c @ self._z) ** 2 / (2.0 * self.data2.q + 2.0))
         elif t == 1.0:
             if not self.problem.state2.symbol.is_vacuum:
                 return 1.0
-            bracket = 2.0 * self.data1.Q + 2.0 * np.eye(len(self.data1.Q))
+            quad = np.sum(np.abs(self._z) ** 2 / (2.0 * self.data1.q + 2.0))
         else:
-            bracket = self._f_matrix(self._es_r1, t) + self._f_matrix(self._es_r2, 1.0 - t)
-        quad = _solve_quadratic_form(eigh(bracket), self.ybar)
+            s = np.sqrt(_bracket_weights(self._r2, 1.0 - t))[:, None] * self._c
+            bracket = s.T @ s
+            bracket.flat[:: len(bracket) + 1] += _bracket_weights(self._r1, t)
+            try:
+                low = np.linalg.cholesky(bracket)
+            except np.linalg.LinAlgError:
+                raise DomainError("bracket matrix is singular") from None
+            w = np.linalg.solve(low, np.stack([self._z.real, self._z.imag], axis=1))
+            quad = np.sum(w * w)
         return float(np.exp(-2.0 * self.kappa * quad))
 
-    def _log_trace_term(self, t: float, tol: float, error: type) -> float:
-        w = np.linalg.eigvalsh(sandwich_power_es(self._es_r1, self._es_r2, t))
-        if w.max(initial=0.0) >= 1.0 - tol:
-            raise error(f"sandwiched product has eigenvalue {w.max():.12g} >= 1 at t = {t}")
-        return -float(np.sum(np.log1p(-np.minimum(w, 1.0))))
+    def _log_trace_term(self, t: float, margin: float, error: type) -> float:
+        """-Tr log(I - W_t) = -log det(I - K^T K); W_t must stay below 1 - margin."""
+        k = (
+            support_power(self._r2, (1.0 - t) / 2.0)[:, None]
+            * self._c
+            * support_power(self._r1, t / 2.0)
+        )
+        g = -(k.T @ k)
+        g.flat[:: len(g) + 1] += 1.0
+        try:
+            if margin:
+                np.linalg.cholesky(g - margin * np.eye(len(g)))
+            low = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise error(
+                f"sandwiched product has an eigenvalue >= {1.0 - margin:.12g} at t = {t}"
+            ) from None
+        return -2.0 * float(np.sum(np.log(np.diagonal(low))))
 
     def psi(self, t: float) -> float:
         """log of the quasi-power trace of the two restricted states, t in [0, 1]."""
@@ -145,6 +216,9 @@ class FiniteProblem:
             self.problem.state2.displacement.support
         ):
             raise DisplacementMismatch("extension requires identical displacements")
+        singular = min(self._r1.min(initial=1.0), self._r2.min(initial=1.0)) <= 0
+        if singular and not 0.0 <= t <= 1.0:
+            raise DomainError(f"singular factor with t = {t} outside [0, 1]")
         base = t * self.data1.logN + (1.0 - t) * self.data2.logN
         return base + self._log_trace_term(t, W_ONE_TOL, NotTraceClass)
 
@@ -165,29 +239,31 @@ class FiniteProblem:
         return value
 
     def relative_entropy(self, direction: str = "12") -> float:
-        """Relative entropy of the restricted states; needs strictly positive symbols."""
+        """Relative entropy of the restricted states; needs strictly positive symbols.
+
+        D(a||b) = Tr Q_a (log R_a - log R_b) + log N_a - log N_b
+        - kappa <ybar, log R_b ybar>, summed over the eigenpairs with the
+        overlaps P[j, i] = <vb_j, va_i>^2.
+        """
         if not strict_positivity_required(self.problem):
             raise StrictPositivityRequired(
                 "relative entropy needs both symbols bounded away from zero"
             )
+        overlap = self._c**2
         if direction == "12":
-            da, db = self.data1, self.data2
+            da, db, zb = self.data1, self.data2, self._c @ self._z
         elif direction == "21":
-            da, db = self.data2, self.data1
+            da, db, zb, overlap = self.data2, self.data1, self._z, overlap.T
         else:
             raise ValidationError("direction", "must be '12' or '21'")
-        log_ra = apply_fn(da.eig, lambda s: np.log(s) - np.log1p(s))
-        log_rb = apply_fn(db.eig, lambda s: np.log(s) - np.log1p(s))
-        log_ia = apply_fn(da.eig, lambda s: -np.log1p(s))  # log(I - R_a)
-        log_ib = apply_fn(db.eig, lambda s: -np.log1p(s))
-        eye = np.eye(len(da.R))
-        s2 = da.R @ (log_ra - log_rb) + (eye - da.R) @ (log_ia - log_ib)
-        weight = da.Q + eye
-        value = float(np.real(np.trace(weight @ s2)))
-        if np.any(self.ybar != 0):
-            value -= self.kappa * float(
-                np.real(self.ybar.conj() @ (log_rb @ self.ybar))
-            )
+        with np.errstate(divide="ignore"):
+            log_ra = np.log(da.q) - np.log1p(da.q)
+            log_rb = np.log(db.q) - np.log1p(db.q)
+        if not (np.all(np.isfinite(log_ra)) and np.all(np.isfinite(log_rb))):
+            raise DomainError("function is not finite at an eigenvalue")
+        value = float(da.q @ log_ra - log_rb @ overlap @ da.q) + da.logN - db.logN
+        if self.has_displacement:
+            value -= self.kappa * float(log_rb @ np.abs(zb) ** 2)
         return value
 
 

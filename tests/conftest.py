@@ -7,11 +7,20 @@ import pytest
 
 from gaussht import (
     DiscriminationProblem,
+    EigenSystem,
     GaussianStateSpec,
+    SiteIndexer,
+    apply_fn,
+    eigh,
     make_displacement,
     make_trig_symbol,
+    restrict_displacement,
+    restrict_symbol,
+    sandwich_power,
 )
 from gaussht._search import bisect_decreasing
+from gaussht.calculus import psd_values, support_power
+from gaussht.errors import DomainError
 
 
 def make_problem(coeffs1, coeffs2, kappa=0.5, dim=1, y1=None, y2=None):
@@ -72,6 +81,77 @@ def nested_hoeffding_threshold(ap, r):
     lo = ap.dpsi_boundary("right_at_0") - 1e-12
     hi = ap.dpsi_boundary("left_at_1") + 1e-12
     return bisect_decreasing(lambda a: (ap.polar(a) - a) - r, lo, hi)
+
+
+class DenseFiniteOracle:
+    """Independent oracle for ``FiniteProblem``: the dense site-basis
+    algorithm that the real-frame engine replaced.  Each state keeps its
+    complex ``Q``, ``R`` and eigensystem; each t forms ``W_t`` by
+    ``sandwich_power`` and takes its ``eigvalsh``, the displacement factor
+    takes an ``eigh`` of the bracket ``f_t(R1) + f_(1-t)(R2)``, and the
+    relative entropy is a trace of ``apply_fn`` matrix logarithms."""
+
+    def __init__(self, problem, n):
+        self.problem = problem
+        self.kappa = problem.kappa
+        self.es, self.Q, self.R, self.logN, self.y = [], [], [], [], []
+        for state in (problem.state1, problem.state2):
+            q = restrict_symbol(state.symbol, n)
+            es = eigh(q)
+            es = EigenSystem(values=psd_values(es.values, clip=1e-9), vectors=es.vectors)
+            self.es.append(es)
+            self.Q.append(q)
+            self.R.append(apply_fn(es, lambda s: s / (1.0 + s)))
+            self.logN.append(-float(np.sum(np.log1p(es.values))))
+            indexer = SiteIndexer(dim=state.symbol.dim, side=n)
+            self.y.append(restrict_displacement(state.displacement, n, indexer))
+        self.ybar = self.y[1] - self.y[0]
+
+    def _f_matrix(self, es, t):
+        r = es.values / (1.0 + es.values)
+        u = support_power(r, t)
+        return (es.vectors * ((1.0 + u) / (1.0 - u))) @ es.vectors.conj().T
+
+    def displacement_factor(self, t):
+        if not np.any(self.ybar != 0):
+            return 1.0
+        eye = np.eye(len(self.ybar))
+        if t == 0.0:
+            if not self.problem.state1.symbol.is_vacuum:
+                return 1.0
+            bracket = 2.0 * self.Q[1] + 2.0 * eye
+        elif t == 1.0:
+            if not self.problem.state2.symbol.is_vacuum:
+                return 1.0
+            bracket = 2.0 * self.Q[0] + 2.0 * eye
+        else:
+            bracket = self._f_matrix(self.es[0], t) + self._f_matrix(self.es[1], 1.0 - t)
+        es = eigh(bracket)
+        if es.values.min(initial=np.inf) <= 0:
+            raise DomainError("bracket matrix is singular")
+        z = es.vectors.conj().T @ self.ybar
+        quad = float(np.real(np.sum(np.abs(z) ** 2 / es.values)))
+        return float(np.exp(-2.0 * self.kappa * quad))
+
+    def psi(self, t):
+        w = np.linalg.eigvalsh(sandwich_power(self.R[0], self.R[1], t))
+        if w.max(initial=0.0) >= 1.0:
+            raise DomainError(f"sandwiched product has eigenvalue {w.max():.12g} >= 1 at t = {t}")
+        base = t * self.logN[0] + (1.0 - t) * self.logN[1]
+        return float(np.log(self.displacement_factor(t))) + base - float(np.sum(np.log1p(-w)))
+
+    def relative_entropy(self, direction):
+        a, b = (0, 1) if direction == "12" else (1, 0)
+        log_ra = apply_fn(self.es[a], lambda s: np.log(s) - np.log1p(s))
+        log_rb = apply_fn(self.es[b], lambda s: np.log(s) - np.log1p(s))
+        log_ia = apply_fn(self.es[a], lambda s: -np.log1p(s))  # log(I - R_a)
+        log_ib = apply_fn(self.es[b], lambda s: -np.log1p(s))
+        eye = np.eye(len(self.R[a]))
+        s2 = self.R[a] @ (log_ra - log_rb) + (eye - self.R[a]) @ (log_ia - log_ib)
+        value = float(np.real(np.trace((self.Q[a] + eye) @ s2)))
+        if np.any(self.ybar != 0):
+            value -= self.kappa * float(np.real(self.ybar.conj() @ (log_rb @ self.ybar)))
+        return value
 
 
 def random_hermitian(rng, n, scale=1.0):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from gaussht import (
     FiniteProblem,
+    build_basis,
     build_state_data,
     chernoff_finite,
     displacement_factor,
@@ -15,7 +17,9 @@ from gaussht import (
     psi_n_extended,
     quasi_power_trace,
     relative_entropy_finite,
+    restrict_symbol,
 )
+from gaussht.finite import real_frame, site_frame
 from gaussht.errors import (
     DisplacementMismatch,
     NegativeParameter,
@@ -23,7 +27,7 @@ from gaussht.errors import (
     StrictPositivityRequired,
 )
 
-from conftest import make_problem
+from conftest import DenseFiniteOracle, make_problem
 
 
 def bernoulli_s2(a, b):
@@ -247,3 +251,142 @@ def test_touching_zero_symbol_allowed_for_psi_only():
     with pytest.raises(StrictPositivityRequired):
         fp.hoeffding(0.0)
     assert fp.hoeffding(0.01) > 0
+
+
+# Symbols with complex coefficients, so that the real frame is not the site
+# basis; each side comes odd (J fixes the centre site) and even (it fixes none).
+ORACLE_SYMBOLS = {
+    1: (
+        {0: 1.6, 1: 0.3 + 0.4j, 2: -0.2 + 0.1j},
+        {0: 2.0, 1: -0.25 + 0.3j, 3: 0.1 - 0.2j},
+    ),
+    2: (
+        {(0, 0): 1.8, (1, 0): 0.2 + 0.3j, (0, 1): -0.1 + 0.25j, (1, 1): 0.15 - 0.1j},
+        {(0, 0): 1.3, (1, 0): -0.2 + 0.1j, (1, -1): 0.1 + 0.2j},
+    ),
+    3: (
+        {(0, 0, 0): 1.9, (1, 0, 0): 0.2 - 0.2j, (0, 1, 1): 0.1 + 0.3j},
+        {(0, 0, 0): 1.4, (0, 0, 1): -0.15 + 0.2j, (1, -1, 0): 0.1 + 0.1j},
+    ),
+}
+ORACLE_CASES = [(1, 4), (1, 5), (2, 3), (2, 4), (3, 2), (3, 3)]
+ORACLE_TS = (0.0, 0.1, 0.37, 0.5, 0.9, 1.0)
+
+
+# (site of y1, two sites of y2) inside every cube of ORACLE_CASES, none at a centre
+OFF_CENTRE_SITES = {
+    1: ((1,), (0,), (3,)),
+    2: ((1, 0), (0, 0), (2, 1)),
+    3: ((1, 0, 0), (0, 0, 0), (1, 1, 0)),
+}
+
+
+def off_centre_displacements(dim):
+    one, corner, far = OFF_CENTRE_SITES[dim]
+    return {one: -0.3 + 0.1j}, {corner: 0.5 - 0.2j, far: 0.1 + 0.4j}
+
+
+def assert_matches_oracle(fp, oracle, entropies=True):
+    for t in ORACLE_TS:
+        # psi vanishes at the endpoints of a strictly positive pair, where only
+        # the absolute rounding of its O(N) terms is meaningful
+        assert fp.psi(t) == pytest.approx(oracle.psi(t), rel=1e-10, abs=1e-11)
+        assert fp.displacement_factor(t) == pytest.approx(
+            oracle.displacement_factor(t), rel=1e-10
+        )
+    if entropies:
+        for direction in ("12", "21"):
+            assert fp.relative_entropy(direction) == pytest.approx(
+                oracle.relative_entropy(direction), rel=1e-10
+            )
+
+
+@pytest.mark.parametrize("dim, n", ORACLE_CASES)
+def test_finite_problem_matches_dense_oracle(dim, n):
+    y1, y2 = off_centre_displacements(dim)
+    prob = make_problem(*ORACLE_SYMBOLS[dim], dim=dim, y1=y1, y2=y2)
+    fp = FiniteProblem(prob, n)
+    assert fp.has_displacement
+    assert_matches_oracle(fp, DenseFiniteOracle(prob, n))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 5), (2, 4)])
+@pytest.mark.parametrize("vacuum", ["state1", "state2"])
+def test_vacuum_endpoints_match_dense_oracle(dim, n, vacuum):
+    # the vacuum closed forms at t = 0 (state 1) and t = 1 (state 2)
+    y1, y2 = off_centre_displacements(dim)
+    q1, q2 = ORACLE_SYMBOLS[dim]
+    q1, q2 = ({}, q2) if vacuum == "state1" else (q1, {})
+    prob = make_problem(q1, q2, dim=dim, y1=y1, y2=y2)
+    fp = FiniteProblem(prob, n)
+    oracle = DenseFiniteOracle(prob, n)
+    assert_matches_oracle(fp, oracle, entropies=False)
+    t = 0.0 if vacuum == "state1" else 1.0
+    assert fp.displacement_factor(t) < 1.0
+
+
+def test_lattice_state_displaced_off_centre():
+    # A 3-site chain with complex coefficients, displaced on site 0: the Fock
+    # state must carry the displacement on the sites, not in the real frame
+    # (the two agree only on one site, where J = I).
+    prob = make_problem(
+        {0: 0.45, 1: 0.1 + 0.15j, 2: -0.05 + 0.05j}, {0: 0.3, 1: -0.1 + 0.05j},
+        y2={0: 0.6 - 0.3j},
+    )
+    fp = FiniteProblem(prob, 3)
+    basis = build_basis(3, 12)
+    s1 = lattice_state(prob.state1, 3, 12, basis=basis)
+    s2 = lattice_state(prob.state2, 3, 12, basis=basis)
+    budget = 1e-9 + s1.trace_deficit + s2.trace_deficit
+    for t in (0.25, 0.5, 0.75):
+        assert quasi_power_trace(s1, s2, t) == pytest.approx(math.exp(fp.psi(t)), abs=budget)
+
+
+def toeplitz_by_sites(coeffs, dim, n):
+    """Q[idx(k), idx(k')] = c(k - k') by direct enumeration of the cube."""
+    sites = list(itertools.product(range(n), repeat=dim))
+    q = np.zeros((len(sites), len(sites)), dtype=complex)
+    for a, k in enumerate(sites):
+        for b, kk in enumerate(sites):
+            q[a, b] = coeffs.get(tuple(x - y for x, y in zip(k, kk)), 0.0)
+    return q
+
+
+@pytest.mark.parametrize("dim, n", [(1, 7), (1, 8), (2, 4), (2, 5), (3, 3), (3, 4)])
+def test_real_frame_identity(rng, dim, n):
+    offsets = list(itertools.product(range(-2, 3), repeat=dim))
+    coeffs = {}
+    for j in offsets:
+        if j not in coeffs:
+            c = complex(*rng.standard_normal(2))
+            coeffs[j] = c
+            coeffs[tuple(-k for k in j)] = np.conj(c)
+    coeffs[(0,) * dim] = float(rng.standard_normal())
+    q = toeplitz_by_sites(coeffs, dim, n)
+    size = len(q)
+    u = (np.eye(size) + 1j * np.eye(size)[::-1]) / math.sqrt(2.0)
+    m = u.conj().T @ q @ u
+    scale = float(np.abs(q).max())
+    assert float(np.abs(m.imag).max()) <= 1e-14 * scale
+    assert np.linalg.eigvalsh(m.real) == pytest.approx(np.linalg.eigvalsh(q), abs=1e-12 * scale)
+    assert float(np.abs(real_frame(q) - m.real).max()) <= 1e-14 * scale
+    assert float(np.abs(site_frame(m.real) - q).max()) <= 1e-14 * scale
+
+
+def test_build_state_data_records_clipping():
+    # q = (1 - cos x)^12 touches zero to 24th order: the smallest eigenvalues
+    # of its 80-site section lie below rounding, and some come out negative
+    coeffs = {0: 1.0}
+    for _ in range(12):
+        step = {}
+        for j, c in coeffs.items():
+            for k, w in ((-1, -0.5), (0, 1.0), (1, -0.5)):
+                step[j + k] = step.get(j + k, 0.0) + w * c
+        coeffs = step
+    state = make_problem(coeffs, 1.0).state1
+    data = build_state_data(state, 80)
+    raw = np.linalg.eigvalsh(real_frame(restrict_symbol(state.symbol, 80)))
+    assert -1e-9 < data.clipped < 0.0
+    assert data.q.min() == 0.0
+    assert data.clipped == pytest.approx(raw.min(), abs=1e-14)
+    assert build_state_data(make_problem(1.0, 2.0).state1, 3).clipped == 0.0
