@@ -39,8 +39,10 @@ state 1,
 f_s(r) = (1 + r^s) / (1 - r^s); one Cholesky of B is solved against the real
 and imaginary parts of z, and a failed one raises DomainError.  At t = 0
 and t = 1 the bracket of a vacuum state is 2 Q + 2 I of the other state,
-diagonal in its eigenbasis.  The relative entropies are spectral sums over
-the overlaps P = (V_b^T V_a)^2.
+diagonal in its eigenbasis.  psi(0) is exactly 0 when state 1 has full
+support (its power 0 is then the identity and state 2 has unit trace), and
+psi(1) likewise when state 2 has.  The relative entropies are spectral sums
+over the overlaps P = (V_b^T V_a)^2.
 """
 
 from __future__ import annotations
@@ -206,6 +208,9 @@ class FiniteProblem:
         """log of the quasi-power trace of the two restricted states, t in [0, 1]."""
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"psi_n is defined for t in [0, 1], got {t}")
+        faithful = self._r1 if t == 0.0 else self._r2 if t == 1.0 else None
+        if faithful is not None and np.all(faithful > 0.0):
+            return 0.0
         log_c = float(np.log(self.displacement_factor(t)))
         base = t * self.data1.logN + (1.0 - t) * self.data2.logN
         return log_c + base + self._log_trace_term(t, 0.0, DomainError)
@@ -307,6 +312,11 @@ class FiniteReport:
     rel_entropy_21: float | None
 
 
+def _nonnegative(value: float) -> float:
+    # the exponents are >= 0; this drops negative rounding, and -0.0, from reports
+    return value if value > 0.0 else 0.0
+
+
 def finite_report(
     problem: DiscriminationProblem,
     n: int,
@@ -320,14 +330,14 @@ def finite_report(
         raise DomainError(f"psi_n exceeded its nonpositivity tolerance: {psi_values.max():.3e}")
     chernoff, t_star = fp.chernoff()
     strict = strict_positivity_required(problem)
-    hoeffding = {float(r): fp.hoeffding(float(r)) for r in r_list if r > 0 or strict}
+    hoeffding = {float(r): _nonnegative(fp.hoeffding(float(r))) for r in r_list if r > 0 or strict}
     d12 = fp.relative_entropy("12") if strict else None
     d21 = fp.relative_entropy("21") if strict else None
     return FiniteReport(
         n=n,
         t_grid=np.asarray(t_grid, dtype=float),
         psi_values=psi_values,
-        chernoff=max(chernoff, 0.0),
+        chernoff=_nonnegative(chernoff),
         t_star=t_star,
         hoeffding=hoeffding,
         rel_entropy_12=d12,

@@ -6,12 +6,23 @@ the block structure in total photon number, so operators of the form
 "same matrix on every factor" are exactly block multiplicative and all
 closed-form trace identities hold blockwise; only the tail above M is lost,
 and that loss is carried around explicitly as ``trace_deficit``.
+
+Each state diagonalises its blocks once, on first use, and keeps the
+eigensystems (``TruncatedFockState.spectra``); every quasi-power trace and
+Nussbaum-Szkola table of the state reuses them.  When the two states are
+blocked alike, both are read block by block.  When they are not (a
+block-diagonal state against a displaced, dense one), the whole basis is one
+block, over which each state's own block eigenvectors are laid out; a
+block-diagonal state is never diagonalised as one dense matrix.  Eigenpairs
+are then ordered blockwise, not by eigenvalue, so only sums over eigenpairs,
+which do not depend on that order, are meaningful.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -141,19 +152,24 @@ def fock_operator_blocks(x: np.ndarray, basis: FockBasis) -> list[np.ndarray]:
         prev = blocks[m - 1]
         tgt_local = basis._raise_idx[src] - dst.start
         amp = basis._raise_amp[src]
-        cur = np.zeros((size, size), dtype=complex)
         occs = basis.occupations[dst]
-        for c in range(size):
-            occ = occs[c]
-            j = int(np.argmax(occ > 0))
-            parent = list(occ)
-            parent[j] -= 1
-            pcol = prev[:, basis.index[tuple(parent)] - src.start]
-            col = np.zeros(size, dtype=complex)
+        # column c grows from its parent occ - e_j, j its first occupied mode;
+        # raising in one mode is injective, so each scatter below hits
+        # distinct rows and needs no accumulation
+        first = np.argmax(occs > 0, axis=1)
+        cur = np.zeros((size, size), dtype=complex)
+        for j in range(d):
+            cols = np.flatnonzero(first == j)
+            if cols.size == 0:
+                continue
+            lower = np.empty(size, dtype=np.int64)
+            lower[tgt_local[:, j]] = np.arange(src.stop - src.start)
+            pcols = prev[:, lower[cols]]
+            grown = np.zeros((size, cols.size), dtype=complex)
             for i in range(d):
                 if x[i, j] != 0:
-                    col[tgt_local[:, i]] += x[i, j] * amp[:, i] * pcol
-            cur[:, c] = col / math.sqrt(occ[j])
+                    grown[tgt_local[:, i]] += (x[i, j] * amp[:, i])[:, None] * pcols
+            cur[:, cols] = grown / np.sqrt(occs[cols, j])
         blocks.append(cur)
     return blocks
 
@@ -192,6 +208,10 @@ class TruncatedFockState:
             out[sl, sl] = block
         return out
 
+    @cached_property
+    def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return tuple(_block_eigh(b) for b in self.blocks)
+
     @classmethod
     def from_blocks(cls, basis: FockBasis, blocks, slices) -> "TruncatedFockState":
         tr = sum(float(np.real(np.trace(b))) for b in blocks)
@@ -209,9 +229,13 @@ class TruncatedFockState:
         return cls.from_blocks(basis, [np.asarray(matrix, dtype=complex)], [slice(0, basis.dimension)])
 
 
-def _aligned_blocks(s1: TruncatedFockState, s2: TruncatedFockState):
+def _require_same_basis(s1: TruncatedFockState, s2: TruncatedFockState) -> None:
     if not s1.basis.compatible(s2.basis):
         raise BasisMismatch("states live on different truncated bases")
+
+
+def _aligned_blocks(s1: TruncatedFockState, s2: TruncatedFockState):
+    _require_same_basis(s1, s2)
     if s1.slices == s2.slices:
         return list(zip(s1.blocks, s2.blocks))
     return [(s1.matrix, s2.matrix)]
@@ -302,17 +326,38 @@ def _power_or_support(values: np.ndarray, exponent: float) -> np.ndarray:
     return support_power(values, exponent)
 
 
+def _common_blocks(s1: TruncatedFockState, s2: TruncatedFockState):
+    """(slice, values1, values2, |U1* U2|^2) for each block the states share.
+
+    Alike-blocked states pair block with block.  Otherwise the whole basis is
+    one block: state 2's eigenvectors are laid out in the full basis and state
+    1's block eigenvectors act on their rows, so eigenpairs come blockwise and
+    a support cutoff sees the largest eigenvalue of the whole state.
+    """
+    _require_same_basis(s1, s2)
+    if s1.slices == s2.slices:
+        for sl, (v1, u1), (v2, u2) in zip(s1.slices, s1.spectra, s2.spectra):
+            yield sl, v1, v2, np.abs(u1.conj().T @ u2) ** 2
+        return
+    dim = s1.basis.dimension
+    u2 = np.zeros((dim, dim), dtype=complex)
+    for sl, (_, u) in zip(s2.slices, s2.spectra):
+        u2[sl, sl] = u
+    overlap = np.empty((dim, dim))
+    for sl, (_, u) in zip(s1.slices, s1.spectra):
+        overlap[sl] = np.abs(u.conj().T @ u2[sl]) ** 2
+    v1, v2 = (np.concatenate([v for v, _ in s.spectra]) for s in (s1, s2))
+    yield slice(0, dim), v1, v2, overlap
+
+
 def quasi_power_trace(s1: TruncatedFockState, s2: TruncatedFockState, t: float) -> float:
     """Tr s1^t s2^(1-t) for t in [0, 1], powers on the supports only."""
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
-    total = 0.0
-    for b1, b2 in _aligned_blocks(s1, s2):
-        v1, u1 = _block_eigh(b1)
-        v2, u2 = _block_eigh(b2)
-        overlap = np.abs(u1.conj().T @ u2) ** 2
-        total += float(_power_or_support(v1, t) @ overlap @ _power_or_support(v2, 1.0 - t))
-    return total
+    return sum(
+        float(_power_or_support(v1, t) @ overlap @ _power_or_support(v2, 1.0 - t))
+        for _, v1, v2, overlap in _common_blocks(s1, s2)
+    )
 
 
 def nussbaum_szkola(s1: TruncatedFockState, s2: TruncatedFockState):
@@ -320,17 +365,13 @@ def nussbaum_szkola(s1: TruncatedFockState, s2: TruncatedFockState):
 
     p1[i, j] = lambda1_i |<e1_i, e2_j>|^2 and p2[i, j] = lambda2_j
     |<e1_i, e2_j>|^2; their Hellinger-type sums reproduce the quantum
-    quasi-power traces.
+    quasi-power traces.  The eigenpairs are ordered blockwise (see the
+    module docstring), so only sums over the tables are meaningful.
     """
     dim = s1.basis.dimension
     p1 = np.zeros((dim, dim))
     p2 = np.zeros((dim, dim))
-    aligned = _aligned_blocks(s1, s2)
-    slices = s1.slices if s1.slices == s2.slices else (slice(0, dim),)
-    for sl, (b1, b2) in zip(slices, aligned):
-        v1, u1 = _block_eigh(b1)
-        v2, u2 = _block_eigh(b2)
-        overlap = np.abs(u1.conj().T @ u2) ** 2
+    for sl, v1, v2, overlap in _common_blocks(s1, s2):
         p1[sl, sl] = v1[:, None] * overlap
         p2[sl, sl] = overlap * v2[None, :]
     return p1, p2

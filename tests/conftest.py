@@ -21,6 +21,7 @@ from gaussht import (
 from gaussht._search import bisect_decreasing
 from gaussht.calculus import psd_values, support_power
 from gaussht.errors import DomainError
+from gaussht.fock import _power_or_support
 
 
 def make_problem(coeffs1, coeffs2, kappa=0.5, dim=1, y1=None, y2=None):
@@ -152,6 +153,32 @@ class DenseFiniteOracle:
         if np.any(self.ybar != 0):
             value -= self.kappa * float(np.real(self.ybar.conj() @ (log_rb @ self.ybar)))
         return value
+
+
+class DenseFockOracle:
+    """Independent oracle for ``quasi_power_trace`` and ``nussbaum_szkola``:
+    the algorithm that the cached block eigensystems replaced.  Both whole
+    ``.matrix`` are diagonalised densely, whatever their block structure, and
+    every sum runs over all eigenpairs of the whole basis, so the t = 0
+    support cutoff sees the largest eigenvalue of the whole state."""
+
+    def __init__(self, s1, s2):
+        (v1, u1), (v2, u2) = (np.linalg.eigh(s.matrix) for s in (s1, s2))
+        self.v1 = psd_values(v1, clip=1e-10)
+        self.v2 = psd_values(v2, clip=1e-10)
+        self.overlap = np.abs(u1.conj().T @ u2) ** 2
+
+    def quasi_power_trace(self, t):
+        return float(_power_or_support(self.v1, t) @ self.overlap @ _power_or_support(self.v2, 1.0 - t))
+
+    def tables(self):
+        return self.v1[:, None] * self.overlap, self.overlap * self.v2[None, :]
+
+
+def hellinger_sum(p1, p2, t):
+    """sum p1^t p2^(1-t) over the entries where both tables are positive."""
+    both = (p1 > 0) & (p2 > 0)
+    return float(np.sum(p1[both] ** t * p2[both] ** (1.0 - t)))
 
 
 def random_hermitian(rng, n, scale=1.0):

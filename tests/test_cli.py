@@ -150,6 +150,21 @@ def test_run_finite_csv(tmp_path):
     assert any(row.startswith("n=2/chernoff,") for row in scalars)
 
 
+def test_finite_hoeffding_above_d21_is_exactly_zero(tmp_path):
+    # q1 = 1.5 + 2 Re((0.3 + 0.2i) e^{ix}) against 2: at r = 0.05 > D21 the
+    # supremum sits at t = 0, where psi_n is exactly 0
+    q1 = [
+        {"index": [0], "re": 1.5},
+        {"index": [1], "re": 0.3, "im": 0.2},
+        {"index": [-1], "re": 0.3, "im": -0.2},
+    ]
+    config = parse_config(config_text(command="finite", q1=q1, n_list=[1], t_grid=5, r_list=[0.05]))
+    assert run(config, out_dir=tmp_path) == 0
+    text = (tmp_path / "finite.json").read_text()
+    assert json.loads(text)["scalars"]["n=1/rel_entropy_21"] < 0.05
+    assert '"n=1/hoeffding[r=0.05]": 0.0,' in text
+
+
 def test_run_simulate_and_cap_overflow(tmp_path):
     config = parse_config(
         config_text(command="simulate", n_list=[1, 2], fock_cutoff=12, t_grid=3)

@@ -16,10 +16,17 @@ from gaussht import (
     quasi_power_trace,
     second_quantized_trace_check,
 )
+from gaussht import fock
 from gaussht.errors import BasisMismatch, SizeOverflow, SpectralRadiusError, UnitarityDefect
 from gaussht.fock import TruncatedFockState, permanent_repeated
 
-from conftest import classical_min_error, make_problem, random_psd_contraction
+from conftest import (
+    DenseFockOracle,
+    classical_min_error,
+    hellinger_sum,
+    make_problem,
+    random_psd_contraction,
+)
 
 
 def thermal_pair(cutoff):
@@ -340,3 +347,58 @@ def test_nussbaum_szkola_displaced_states():
     for t in (0.3, 0.7):
         ns = float(np.sum(np.where(p1 > 0, p1, 0.0) ** t * np.where(p2 > 0, p2, 0.0) ** (1 - t)))
         assert ns == pytest.approx(quasi_power_trace(s1, s2, t), abs=1e-10)
+
+
+CHAIN_CUTOFF = 12
+
+
+def chain_states(y1=None, y2=None):
+    """A non-commuting pair on the 2-site chain; a displaced state is stored dense."""
+    prob = make_problem(
+        {0: 1.5, 1: 0.4 + 0.3j, -1: 0.4 - 0.3j}, {0: 2.0, 1: 0.3j, -1: -0.3j}, y1=y1, y2=y2
+    )
+    basis = build_basis(2, CHAIN_CUTOFF)
+    return tuple(
+        lattice_state(state, 2, CHAIN_CUTOFF, basis=basis) for state in (prob.state1, prob.state2)
+    )
+
+
+def test_each_state_diagonalised_once(monkeypatch):
+    sizes = []
+    block_eigh = fock._block_eigh
+
+    def counting(block):
+        sizes.append(len(block))
+        return block_eigh(block)
+
+    monkeypatch.setattr(fock, "_block_eigh", counting)
+
+    def run(s1, s2):
+        sizes.clear()
+        for t in (0.1, 0.3, 0.5, 0.7, 0.9):
+            quasi_power_trace(s1, s2, t)
+        nussbaum_szkola(s1, s2)
+        return sorted(sizes)
+
+    s1, s2 = chain_states()
+    blocks = sorted(sl.stop - sl.start for sl in s1.basis.block_slices)
+    assert run(s1, s2) == sorted(blocks + blocks)
+    # mixed pair: state 1 is solved block by block, never as the dense s1.matrix
+    s1, s2 = chain_states(y2={0: 0.3 + 0.2j})
+    assert len(s1.slices) == len(blocks) and len(s2.slices) == 1
+    assert run(s1, s2) == sorted(blocks + [s1.basis.dimension])
+
+
+@pytest.mark.parametrize(
+    "y1, y2",
+    [(None, None), (None, {0: 0.3 + 0.2j}), ({0: 0.3 + 0.2j}, None), ({1: 0.2j}, {0: 0.3 + 0.2j})],
+    ids=["block-block", "block-dense", "dense-block", "dense-dense"],
+)
+def test_quasi_power_trace_matches_dense_oracle(y1, y2):
+    s1, s2 = chain_states(y1, y2)
+    oracle = DenseFockOracle(s1, s2)
+    p1, p2 = nussbaum_szkola(s1, s2)
+    q1, q2 = oracle.tables()
+    for t in (0.0, 0.3, 0.7, 1.0):
+        assert quasi_power_trace(s1, s2, t) == pytest.approx(oracle.quasi_power_trace(t), abs=1e-12)
+        assert hellinger_sum(p1, p2, t) == pytest.approx(hellinger_sum(q1, q2, t), abs=1e-12)
