@@ -5,6 +5,10 @@ distances, relative entropies, the rate polar function) for a pair of
 gauge-invariant Gaussian states on a cubic lattice, together with a
 truncated Fock-space simulator that independently verifies every closed
 form.
+
+Each quantity has one way in: the methods of ``FiniteProblem`` (the cube of
+side n) and ``AsymptoticProblem`` (the per-site limit), and the functions of
+``fock``.  The imports below are the whole public surface.
 """
 
 from .symbols import (
@@ -18,41 +22,20 @@ from .symbols import (
     strict_positivity_required,
 )
 from .lattice import SiteIndexer, restrict_displacement, restrict_symbol
-from .calculus import (
-    EigenSystem,
-    apply_fn,
-    eigh,
-    positive_part_projector,
-    sandwich_power,
-    trace_fn,
-)
+from .calculus import EigenSystem, apply_fn, eigh
 from .finite import (
     FiniteProblem,
     FiniteReport,
     FiniteStateData,
     build_state_data,
-    chernoff_finite,
-    displacement_factor,
     finite_report,
-    hoeffding_finite,
-    psi_n,
-    psi_n_extended,
-    relative_entropy_finite,
 )
 from .asymptotics import (
     AsymptoticProblem,
     AsymptoticReport,
     QuadratureRule,
     asymptotic_report,
-    dpsi_boundary,
-    hoeffding_threshold,
-    integrate,
     make_rule,
-    mean_chernoff,
-    mean_hoeffding,
-    polar,
-    psi_asym,
-    psi_second,
     szego_check,
 )
 from .fock import (
@@ -69,9 +52,7 @@ from .fock import (
     neyman_pearson,
     nussbaum_szkola,
     quasi_power_trace,
-    second_quantized_trace_check,
 )
 from . import errors
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,4 +1,10 @@
-"""Deterministic scalar searches: coarse grid + golden section, and bisection."""
+"""Deterministic scalar searches, and the two exponent searches built on them.
+
+A coarse grid of ``COARSE`` points picks the bracketing interval and golden
+section refines it to ``TOL`` in the argument; bisection finds roots.  The
+Chernoff and Hoeffding searches over a convex curve psi on [0, 1] serve the
+finite-volume and the asymptotic layer alike.
+"""
 
 from __future__ import annotations
 
@@ -6,32 +12,24 @@ import math
 from typing import Callable
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+COARSE = 33
+TOL = 1e-10
 
 
-def minimize_convex(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    coarse: int = 33,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Global minimum of a convex function on [lo, hi].
-
-    Coarse uniform grid picks the bracketing interval, golden section
-    refines it to ``tol`` in the argument.  Returns (value, argmin).
-    """
-    grid = [lo + (hi - lo) * i / (coarse - 1) for i in range(coarse)]
+def minimize_convex(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Global minimum of a convex function on [lo, hi]: (value, argmin)."""
+    grid = [lo + (hi - lo) * i / (COARSE - 1) for i in range(COARSE)]
     vals = [f(x) for x in grid]
-    i = min(range(coarse), key=lambda k: vals[k])
+    i = min(range(COARSE), key=lambda k: vals[k])
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, coarse - 1)]
+    b = grid[min(i + 1, COARSE - 1)]
     if a == b:
         return vals[i], grid[i]
 
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
@@ -47,15 +45,9 @@ def minimize_convex(
     return best
 
 
-def maximize_concave(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    coarse: int = 33,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
+def maximize_concave(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Global maximum of a concave (or unimodal) function on [lo, hi]."""
-    value, arg = minimize_convex(lambda x: -f(x), lo, hi, coarse=coarse, tol=tol)
+    value, arg = minimize_convex(lambda x: -f(x), lo, hi)
     return -value, arg
 
 
@@ -63,7 +55,7 @@ def bisect_decreasing(
     g: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float = 1e-10,
+    tol: float = TOL,
 ) -> float:
     """Root of a monotonically decreasing function on [lo, hi]."""
     glo, ghi = g(lo), g(hi)
@@ -78,3 +70,23 @@ def bisect_decreasing(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def chernoff(psi: Callable[[float], float]) -> tuple[float, float]:
+    """(-min psi over [0, 1], minimizing t); psi is convex."""
+    value, t_star = minimize_convex(psi, 0.0, 1.0)
+    return -value, t_star
+
+
+def hoeffding(psi: Callable[[float], float], r: float) -> float:
+    """sup over t in [0, 1) of (-t r - psi(t)) / (1 - t), for a rate r > 0.
+
+    The objective has a pole at t = 1; the search stops at 1 - 1e-6.
+    """
+    value, _ = maximize_concave(lambda t: (-t * r - psi(t)) / (1.0 - t), 0.0, 1.0 - 1e-6)
+    return value
+
+
+def nonnegative(value: float) -> float:
+    """The exponents are >= 0; this drops negative rounding, and -0.0, from reports."""
+    return value if value > 0.0 else 0.0

@@ -5,9 +5,11 @@ The per-site limit of the quasi-power trace log is
     psi(t) = -mean log[ (1+q1)^t (1+q2)^(1-t) - q1^t q2^(1-t) ],
 
 the mean taken with the normalized tensor trapezoid rule, which is exact
-for trigonometric polynomials.  Boundary derivatives come from closed-form
-integrals of the scalar Bernoulli relative entropy, never from one-sided
-differences (those are kept as a test oracle only).
+for trigonometric polynomials.  psi(0) is exactly 0 when q1 > 0 at every
+node, and psi(1) likewise when q2 > 0.  Boundary derivatives come from
+closed-form integrals of the scalar Bernoulli relative entropy, never from
+one-sided differences (those, and a node-by-node quadrature, are test
+oracles in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._search import bisect_decreasing, maximize_concave, minimize_convex
+from . import _search
 from .calculus import apply_fn, eigh, support_power
 from .errors import (
     DomainError,
@@ -58,14 +60,6 @@ def make_rule(dim: int, points_per_axis: int | None = None) -> QuadratureRule:
         nodes=nodes,
         weight=1.0 / len(nodes),
     )
-
-
-def integrate(f: Callable, rule: QuadratureRule) -> float:
-    """Normalized integral of a scalar function over the torus."""
-    vals = np.array([float(f(x if rule.dim > 1 else x[0])) for x in rule.nodes])
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteIntegrand("integrand is not finite at a quadrature node")
-    return float(np.sum(vals) * rule.weight)
 
 
 def bernoulli_relative_entropy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,6 +106,9 @@ class AsymptoticProblem:
     def psi(self, t: float) -> float:
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"psi is defined for t in [0, 1], got {t}")
+        faithful = self.r1 if t == 0.0 else self.r2 if t == 1.0 else None
+        if faithful is not None and np.all(faithful > 0.0):
+            return 0.0
         w = self._w(t)
         if w.max(initial=0.0) >= 1.0:
             raise NonFiniteIntegrand("integrand diverges: r1^t r2^(1-t) reaches 1")
@@ -132,7 +129,8 @@ class AsymptoticProblem:
         """Second derivative of psi on (0, 1); needs strict positivity.
 
         The integrand carries the factor w_t = r1^t r2^(1-t); the
-        finite-difference oracle in the tests is the arbiter for that factor.
+        finite-difference oracle in the tests is the arbiter for that factor,
+        against the unweighted candidate in ``tests/oracles.py``.
         """
         self._require_strict()
         if not 0.0 < t < 1.0:
@@ -140,13 +138,6 @@ class AsymptoticProblem:
         w = self._w(t)
         L = self._log_ratio()
         return self._mean(w * L**2 / (1.0 - w) ** 2)
-
-    def psi_second_unweighted(self, t: float) -> float:
-        """The same integrand without the w_t factor (rejected candidate)."""
-        self._require_strict()
-        w = self._w(t)
-        L = self._log_ratio()
-        return self._mean(L**2 / (1.0 - w) ** 2)
 
     def dpsi_boundary(self, side: str) -> float:
         self._require_strict()
@@ -159,22 +150,19 @@ class AsymptoticProblem:
         raise DomainError(f"side must be 'left_at_1' or 'right_at_0', got {side!r}")
 
     def mean_chernoff(self) -> tuple[float, float]:
-        value, t_star = minimize_convex(self.psi, 0.0, 1.0)
-        return max(-value, 0.0), t_star
+        value, t_star = _search.chernoff(self.psi)
+        return max(value, 0.0), t_star
 
     def mean_hoeffding(self, r: float) -> float:
         if r < 0:
             raise NegativeParameter(f"rate parameter must be >= 0, got {r}")
         if r == 0:
             return self.dpsi_boundary("left_at_1")
-        value, _ = maximize_concave(
-            lambda t: (-t * r - self.psi(t)) / (1.0 - t), 0.0, 1.0 - 1e-6
-        )
-        return value
+        return _search.hoeffding(self.psi, r)
 
     def polar(self, a: float) -> float:
         """sup over t in [0, 1] of t a - psi(t); concave objective."""
-        value, _ = maximize_concave(lambda t: t * a - self.psi(t), 0.0, 1.0)
+        value, _ = _search.maximize_concave(lambda t: t * a - self.psi(t), 0.0, 1.0)
         return value
 
     def _legendre_gap(self, t: float) -> float:
@@ -216,7 +204,7 @@ class AsymptoticProblem:
         m = np.maximum(self.r1, self.r2)
         curvature = self._mean(m * self._log_ratio() ** 2 / (1.0 - m) ** 2)
         tol_t = max(2e-11 / curvature, 1e-15)
-        t_r = bisect_decreasing(lambda t: self._legendre_gap(t) - r, 0.0, 1.0, tol=tol_t)
+        t_r = _search.bisect_decreasing(lambda t: self._legendre_gap(t) - r, 0.0, 1.0, tol=tol_t)
         a_r = self.psi_prime(t_r)
         gap = abs(self.polar(a_r) - self.mean_hoeffding(r))
         if gap > 1e-7:
@@ -224,34 +212,6 @@ class AsymptoticProblem:
                 f"polar({a_r:.12g}) disagrees with the Hoeffding value by {gap:.3e}"
             )
         return a_r
-
-
-def psi_asym(problem: DiscriminationProblem, t: float, rule: QuadratureRule) -> float:
-    return AsymptoticProblem(problem, rule).psi(t)
-
-
-def dpsi_boundary(problem: DiscriminationProblem, side: str, rule: QuadratureRule) -> float:
-    return AsymptoticProblem(problem, rule).dpsi_boundary(side)
-
-
-def psi_second(problem: DiscriminationProblem, t: float, rule: QuadratureRule) -> float:
-    return AsymptoticProblem(problem, rule).psi_second(t)
-
-
-def mean_chernoff(problem: DiscriminationProblem, rule: QuadratureRule) -> tuple[float, float]:
-    return AsymptoticProblem(problem, rule).mean_chernoff()
-
-
-def mean_hoeffding(problem: DiscriminationProblem, r: float, rule: QuadratureRule) -> float:
-    return AsymptoticProblem(problem, rule).mean_hoeffding(r)
-
-
-def polar(problem: DiscriminationProblem, a: float, rule: QuadratureRule) -> float:
-    return AsymptoticProblem(problem, rule).polar(a)
-
-
-def hoeffding_threshold(problem: DiscriminationProblem, r: float, rule: QuadratureRule) -> float:
-    return AsymptoticProblem(problem, rule).hoeffding_threshold(r)
 
 
 @dataclass(frozen=True)
@@ -318,7 +278,9 @@ def asymptotic_report(
         raise DomainError(f"psi exceeded its nonpositivity tolerance: {psi.max():.3e}")
     chernoff, t_star = ap.mean_chernoff()
     strict = strict_positivity_required(problem)
-    hoeffding = {float(r): ap.mean_hoeffding(float(r)) for r in r_list if r > 0 or strict}
+    hoeffding = {
+        float(r): _search.nonnegative(ap.mean_hoeffding(float(r))) for r in r_list if r > 0 or strict
+    }
     polar_map = {float(a): ap.polar(float(a)) for a in a_list}
     return AsymptoticReport(
         t_grid=np.asarray(t_grid, dtype=float),

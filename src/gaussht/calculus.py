@@ -3,7 +3,9 @@
 Everything routes through a full eigendecomposition: one ``eigh`` per matrix,
 then any number of scalar functions of it.  Powers of positive semidefinite
 matrices follow the support convention 0**t = 0 for every real t, so t = 0
-yields the support projection.
+yields the support projection.  The dense matrix oracles built on these
+(sandwiched powers, spectral traces, positive-part projectors) live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,28 +47,14 @@ def eigh(m: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
-def _apply_values(es: EigenSystem, fvals: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(fvals)):
-        raise DomainError("function is not finite at an eigenvalue")
-    m = (es.vectors * fvals) @ es.vectors.conj().T
-    return 0.5 * (m + m.conj().T)
-
-
 def apply_fn(es: EigenSystem, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """V diag(f(values)) V^*, re-Hermitized by averaging with its adjoint."""
     with np.errstate(all="ignore"):
         fvals = np.asarray(f(es.values), dtype=float)
-    return _apply_values(es, fvals)
-
-
-def trace_fn(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Sum of f over the eigenvalues of a Hermitian matrix."""
-    values = eigh(m).values
-    with np.errstate(all="ignore"):
-        fvals = np.asarray(f(values), dtype=float)
     if not np.all(np.isfinite(fvals)):
         raise DomainError("function is not finite at an eigenvalue")
-    return float(np.sum(fvals))
+    m = (es.vectors * fvals) @ es.vectors.conj().T
+    return 0.5 * (m + m.conj().T)
 
 
 def psd_values(values: np.ndarray, clip: float = PSD_CLIP) -> np.ndarray:
@@ -85,28 +73,3 @@ def support_power(values: np.ndarray, t: float) -> np.ndarray:
     pos = values > 0
     out[pos] = values[pos] ** t
     return out
-
-
-def sandwich_power(r1: np.ndarray, r2: np.ndarray, t: float) -> np.ndarray:
-    """R1^(t/2) R2^(1-t) R1^(t/2), powers taken on the support only.
-
-    For t outside [0, 1] both factors must be positive definite.
-    """
-    es1, es2 = eigh(r1), eigh(r2)
-    v1 = psd_values(es1.values)
-    v2 = psd_values(es2.values)
-    if not 0.0 <= t <= 1.0:
-        if v1.min(initial=1.0) <= 0 or v2.min(initial=1.0) <= 0:
-            raise DomainError(f"singular factor with t = {t} outside [0, 1]")
-    a = _apply_values(es1, support_power(v1, t / 2.0))
-    b = _apply_values(es2, support_power(v2, 1.0 - t))
-    w = a @ b @ a
-    return 0.5 * (w + w.conj().T)
-
-
-def positive_part_projector(m: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
-    """Orthogonal projector onto eigenvectors with eigenvalue > zero_tol."""
-    es = eigh(m)
-    keep = es.vectors[:, es.values > zero_tol]
-    p = keep @ keep.conj().T
-    return 0.5 * (p + p.conj().T)

@@ -52,7 +52,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._search import maximize_concave, minimize_convex
+from . import _search
 from .calculus import eigh, psd_values, support_power
 from .errors import (
     DisplacementMismatch,
@@ -62,7 +62,7 @@ from .errors import (
     StrictPositivityRequired,
     ValidationError,
 )
-from .lattice import DENSE_CAP, SiteIndexer, restrict_displacement, restrict_symbol
+from .lattice import DENSE_CAP, restrict_displacement, restrict_symbol
 from .symbols import DiscriminationProblem, GaussianStateSpec, strict_positivity_required
 
 W_ONE_TOL = 1e-12
@@ -116,13 +116,12 @@ def build_state_data(
     """Restrict a Gaussian state spec to the cube of side n."""
     es = eigh(real_frame(restrict_symbol(state.symbol, n, dense_cap=dense_cap)))
     q = psd_values(es.values, clip=1e-9)
-    indexer = SiteIndexer(dim=state.symbol.dim, side=n)
     return FiniteStateData(
         n=n,
         q=q,
         V=es.vectors,
         logN=-float(np.sum(np.log1p(q))),
-        y=restrict_displacement(state.displacement, n, indexer),
+        y=restrict_displacement(state.displacement, n),
         clipped=float(es.values.min(initial=0.0)),
     )
 
@@ -227,10 +226,9 @@ class FiniteProblem:
         base = t * self.data1.logN + (1.0 - t) * self.data2.logN
         return base + self._log_trace_term(t, W_ONE_TOL, NotTraceClass)
 
-    def chernoff(self, coarse: int = 33, tol: float = 1e-10) -> tuple[float, float]:
+    def chernoff(self) -> tuple[float, float]:
         """(-min psi over [0,1], minimizing t); psi is convex in t."""
-        value, t_star = minimize_convex(self.psi, 0.0, 1.0, coarse=coarse, tol=tol)
-        return -value, t_star
+        return _search.chernoff(self.psi)
 
     def hoeffding(self, r: float) -> float:
         """sup over t in [0,1) of (-t r - psi(t)) / (1 - t); r = 0 uses the derivative identity."""
@@ -238,10 +236,7 @@ class FiniteProblem:
             raise NegativeParameter(f"rate parameter must be >= 0, got {r}")
         if r == 0:
             return self.relative_entropy("12")
-        value, _ = maximize_concave(
-            lambda t: (-t * r - self.psi(t)) / (1.0 - t), 0.0, 1.0 - 1e-6
-        )
-        return value
+        return _search.hoeffding(self.psi, r)
 
     def relative_entropy(self, direction: str = "12") -> float:
         """Relative entropy of the restricted states; needs strictly positive symbols.
@@ -272,32 +267,6 @@ class FiniteProblem:
         return value
 
 
-def displacement_factor(problem: DiscriminationProblem, n: int, t: float) -> float:
-    return FiniteProblem(problem, n).displacement_factor(t)
-
-
-def psi_n(problem: DiscriminationProblem, n: int, t: float) -> float:
-    return FiniteProblem(problem, n).psi(t)
-
-
-def psi_n_extended(problem: DiscriminationProblem, n: int, t: float) -> float:
-    return FiniteProblem(problem, n).psi_extended(t)
-
-
-def chernoff_finite(problem: DiscriminationProblem, n: int) -> tuple[float, float]:
-    return FiniteProblem(problem, n).chernoff()
-
-
-def hoeffding_finite(problem: DiscriminationProblem, n: int, r: float) -> float:
-    return FiniteProblem(problem, n).hoeffding(r)
-
-
-def relative_entropy_finite(
-    problem: DiscriminationProblem, n: int, direction: str = "12"
-) -> float:
-    return FiniteProblem(problem, n).relative_entropy(direction)
-
-
 @dataclass(frozen=True)
 class FiniteReport:
     """Per-n summary: psi curve, Chernoff distance, Hoeffding values, entropies."""
@@ -310,11 +279,6 @@ class FiniteReport:
     hoeffding: Mapping[float, float]
     rel_entropy_12: float | None
     rel_entropy_21: float | None
-
-
-def _nonnegative(value: float) -> float:
-    # the exponents are >= 0; this drops negative rounding, and -0.0, from reports
-    return value if value > 0.0 else 0.0
 
 
 def finite_report(
@@ -330,14 +294,16 @@ def finite_report(
         raise DomainError(f"psi_n exceeded its nonpositivity tolerance: {psi_values.max():.3e}")
     chernoff, t_star = fp.chernoff()
     strict = strict_positivity_required(problem)
-    hoeffding = {float(r): _nonnegative(fp.hoeffding(float(r))) for r in r_list if r > 0 or strict}
+    hoeffding = {
+        float(r): _search.nonnegative(fp.hoeffding(float(r))) for r in r_list if r > 0 or strict
+    }
     d12 = fp.relative_entropy("12") if strict else None
     d21 = fp.relative_entropy("21") if strict else None
     return FiniteReport(
         n=n,
         t_grid=np.asarray(t_grid, dtype=float),
         psi_values=psi_values,
-        chernoff=_nonnegative(chernoff),
+        chernoff=_search.nonnegative(chernoff),
         t_star=t_star,
         hoeffding=hoeffding,
         rel_entropy_12=d12,

@@ -15,7 +15,9 @@ block-diagonal state against a displaced, dense one), the whole basis is one
 block, over which each state's own block eigenvectors are laid out; a
 block-diagonal state is never diagonalised as one dense matrix.  Eigenpairs
 are then ordered blockwise, not by eigenvalue, so only sums over eigenpairs,
-which do not depend on that order, are meaningful.
+which do not depend on that order, are meaningful.  The brute-force
+oracles for these blocks (Ryser permanents, the second-quantized trace
+identity) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -107,30 +108,6 @@ def _compositions(total: int, parts: int):
 
 def build_basis(modes: int, cutoff: int, cap: int = BASIS_CAP) -> FockBasis:
     return FockBasis(modes, cutoff, cap=cap)
-
-
-def permanent_repeated(x: np.ndarray, row_mult: Sequence[int], col_mult: Sequence[int]) -> complex:
-    """Permanent of x with row i repeated row_mult[i] times, column j col_mult[j] times.
-
-    Ryser's inclusion-exclusion with the repeated columns compressed into
-    multiplicities; intended as a small-block oracle, cost prod(col_mult + 1).
-    """
-    row_mult = np.asarray(row_mult, dtype=np.int64)
-    col_mult = np.asarray(col_mult, dtype=np.int64)
-    m = int(col_mult.sum())
-    if m != int(row_mult.sum()):
-        return 0.0
-    if m == 0:
-        return 1.0
-    total = 0.0 + 0.0j
-    for k in product(*[range(c + 1) for c in col_mult]):
-        k = np.asarray(k)
-        coeff = (-1.0) ** int(k.sum())
-        for kj, cj in zip(k, col_mult):
-            coeff *= math.comb(int(cj), int(kj))
-        rows = x @ k
-        total += coeff * np.prod(rows**row_mult)
-    return (-1.0) ** m * total
 
 
 def fock_operator_blocks(x: np.ndarray, basis: FockBasis) -> list[np.ndarray]:
@@ -232,13 +209,6 @@ class TruncatedFockState:
 def _require_same_basis(s1: TruncatedFockState, s2: TruncatedFockState) -> None:
     if not s1.basis.compatible(s2.basis):
         raise BasisMismatch("states live on different truncated bases")
-
-
-def _aligned_blocks(s1: TruncatedFockState, s2: TruncatedFockState):
-    _require_same_basis(s1, s2)
-    if s1.slices == s2.slices:
-        return list(zip(s1.blocks, s2.blocks))
-    return [(s1.matrix, s2.matrix)]
 
 
 def gaussian_density(r: np.ndarray, logN: float, basis: FockBasis) -> TruncatedFockState:
@@ -392,10 +362,12 @@ def neyman_pearson(
     alpha uses the ideal unit trace, so the truncation deficit of s1 inflates
     it by at most s1.trace_deficit.
     """
+    _require_same_basis(s1, s2)
+    pairs = zip(s1.blocks, s2.blocks) if s1.slices == s2.slices else [(s1.matrix, s2.matrix)]
     factor = math.exp(-scale * a)
     tr1 = 0.0
     tr2 = 0.0
-    for b1, b2 in _aligned_blocks(s1, s2):
+    for b1, b2 in pairs:
         diff = factor * b1 - b2
         vals, vecs = np.linalg.eigh(0.5 * (diff + diff.conj().T))
         keep = vecs[:, vals > 0.0]
@@ -404,28 +376,6 @@ def neyman_pearson(
     alpha = 1.0 - tr1
     beta = tr2
     return NPResult(alpha=alpha, beta=beta, e=factor * alpha + beta)
-
-
-def second_quantized_trace_check(a: np.ndarray, b: np.ndarray, basis: FockBasis):
-    """(lhs, rhs) of Tr A_F Gamma(B) = det(I - A)^-1 Tr A (I - A)^-1 B on the truncation."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    avals = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    if avals.max(initial=0.0) >= 1.0 or avals.min(initial=0.0) < -1e-12:
-        raise SpectralRadiusError("need 0 <= A < I")
-    gamma = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    adags = [basis.creation_matrix(i) for i in range(basis.modes)]
-    for i in range(basis.modes):
-        for j in range(basis.modes):
-            if b[i, j] != 0:
-                gamma += b[i, j] * (adags[i] @ adags[j].conj().T)
-    lhs = complex(np.trace(fock_operator(a, basis) @ gamma)).real
-    avals = psd_values(avals)
-    rhs_det = math.exp(-float(np.sum(np.log1p(-avals))))
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
-    middle = (vecs * (psd_values(vals) / (1.0 - psd_values(vals)))) @ vecs.conj().T
-    rhs = rhs_det * float(np.real(np.trace(middle @ b)))
-    return lhs, rhs
 
 
 def lattice_state(

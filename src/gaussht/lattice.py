@@ -67,14 +67,9 @@ def restrict_symbol(sym: SymbolSpec, n: int, dense_cap: int = DENSE_CAP) -> np.n
     return out
 
 
-def restrict_displacement(
-    disp: DisplacementSpec, n: int, indexer: SiteIndexer | None = None
-) -> np.ndarray:
+def restrict_displacement(disp: DisplacementSpec, n: int) -> np.ndarray:
     """Truncate the displacement to the cube C_n; sites outside are dropped."""
-    if indexer is None:
-        indexer = SiteIndexer(dim=disp.dim, side=n)
-    if indexer.dim != disp.dim or indexer.side != n:
-        raise ValidationError("indexer", "indexer does not match (dim, n)")
+    indexer = SiteIndexer(dim=disp.dim, side=n)
     vec = np.zeros(indexer.total, dtype=complex)
     for site, value in disp.support.items():
         if indexer.contains(site):

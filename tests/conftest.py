@@ -9,19 +9,18 @@ from gaussht import (
     DiscriminationProblem,
     EigenSystem,
     GaussianStateSpec,
-    SiteIndexer,
     apply_fn,
     eigh,
     make_displacement,
     make_trig_symbol,
     restrict_displacement,
     restrict_symbol,
-    sandwich_power,
 )
 from gaussht._search import bisect_decreasing
 from gaussht.calculus import psd_values, support_power
 from gaussht.errors import DomainError
 from gaussht.fock import _power_or_support
+from oracles import sandwich_power
 
 
 def make_problem(coeffs1, coeffs2, kappa=0.5, dim=1, y1=None, y2=None):
@@ -104,8 +103,7 @@ class DenseFiniteOracle:
             self.Q.append(q)
             self.R.append(apply_fn(es, lambda s: s / (1.0 + s)))
             self.logN.append(-float(np.sum(np.log1p(es.values))))
-            indexer = SiteIndexer(dim=state.symbol.dim, side=n)
-            self.y.append(restrict_displacement(state.displacement, n, indexer))
+            self.y.append(restrict_displacement(state.displacement, n))
         self.ybar = self.y[1] - self.y[0]
 
     def _f_matrix(self, es, t):

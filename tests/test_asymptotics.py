@@ -3,20 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussht import (
-    FiniteProblem,
-    dpsi_boundary,
-    hoeffding_threshold,
-    integrate,
-    make_rule,
-    make_trig_symbol,
-    mean_chernoff,
-    mean_hoeffding,
-    polar,
-    psi_asym,
-    psi_second,
-    szego_check,
-)
+from gaussht import FiniteProblem, make_rule, make_trig_symbol, szego_check
 from gaussht.asymptotics import AsymptoticProblem
 from gaussht.errors import (
     NegativeParameter,
@@ -26,6 +13,7 @@ from gaussht.errors import (
 from gaussht.lattice import restrict_symbol
 
 from conftest import make_problem, nested_hoeffding_threshold
+from oracles import integrate, psi_second_unweighted
 
 RULE = make_rule(1)
 
@@ -41,9 +29,9 @@ def test_integrate_examples():
 def test_psi_asym_examples():
     same = make_problem(1.0, 1.0)
     for t in (0.0, 0.3, 1.0):
-        assert psi_asym(same, t, RULE) == pytest.approx(0.0, abs=1e-13)
+        assert AsymptoticProblem(same, RULE).psi(t) == pytest.approx(0.0, abs=1e-13)
     prob = make_problem(1.0, 2.0)
-    assert psi_asym(prob, 0.5, RULE) == pytest.approx(
+    assert AsymptoticProblem(prob, RULE).psi(0.5) == pytest.approx(
         -math.log(math.sqrt(6) - math.sqrt(2)), abs=1e-13
     )
 
@@ -52,27 +40,30 @@ def test_psi_asym_matches_finite_volume():
     prob = make_problem({0: 1.5, 1: 0.5, -1: 0.5}, 2.0)
     n = 256
     fp = FiniteProblem(prob, n)
-    assert fp.psi(0.5) / n == pytest.approx(psi_asym(prob, 0.5, RULE), abs=5e-3)
+    assert fp.psi(0.5) / n == pytest.approx(AsymptoticProblem(prob, RULE).psi(0.5), abs=5e-3)
 
 
 def test_boundary_derivatives():
     same = make_problem(1.0, 1.0)
-    assert dpsi_boundary(same, "left_at_1", RULE) == pytest.approx(0.0, abs=1e-14)
+    assert AsymptoticProblem(same, RULE).dpsi_boundary("left_at_1") == pytest.approx(0.0, abs=1e-14)
     prob = make_problem(1.0, 2.0)
     d12 = 2 * (0.5 * math.log(0.75) + 0.5 * math.log(1.5))
     d21 = 3 * ((2 / 3) * math.log(4 / 3) + (1 / 3) * math.log(2 / 3))
-    assert dpsi_boundary(prob, "left_at_1", RULE) == pytest.approx(d12, abs=1e-14)
-    assert dpsi_boundary(prob, "right_at_0", RULE) == pytest.approx(-d21, abs=1e-14)
+    ap = AsymptoticProblem(prob, RULE)
+    assert ap.dpsi_boundary("left_at_1") == pytest.approx(d12, abs=1e-14)
+    assert ap.dpsi_boundary("right_at_0") == pytest.approx(-d21, abs=1e-14)
     with pytest.raises(StrictPositivityRequired):
-        dpsi_boundary(make_problem({}, 1.0), "left_at_1", RULE)
+        AsymptoticProblem(make_problem({}, 1.0), RULE).dpsi_boundary("left_at_1")
 
 
 def test_psi_second_scalar_value():
     prob = make_problem(1.0, 2.0)
     w = math.sqrt(1 / 3)
     L = math.log(0.5) - math.log(2 / 3)
-    assert psi_second(prob, 0.5, RULE) == pytest.approx(w * L**2 / (1 - w) ** 2, abs=1e-13)
-    assert psi_second(make_problem(1.0, 1.0), 0.5, RULE) == pytest.approx(0.0, abs=1e-14)
+    ap = AsymptoticProblem(prob, RULE)
+    assert ap.psi_second(0.5) == pytest.approx(w * L**2 / (1 - w) ** 2, abs=1e-13)
+    same = AsymptoticProblem(make_problem(1.0, 1.0), RULE)
+    assert same.psi_second(0.5) == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("t0", [0.3, 0.5, 0.7])
@@ -83,24 +74,24 @@ def test_psi_second_finite_difference_arbitration(t0):
     h = 1e-4
     fd = (ap.psi(t0 + h) - 2 * ap.psi(t0) + ap.psi(t0 - h)) / h**2
     weighted = ap.psi_second(t0)
-    plain = ap.psi_second_unweighted(t0)
+    plain = psi_second_unweighted(ap, t0)
     assert abs(weighted - fd) / abs(fd) < 1e-6
     assert abs(plain - fd) / abs(fd) > 1e-2
 
 
 def test_mean_chernoff():
-    value, _ = mean_chernoff(make_problem(1.0, 1.0), RULE)
+    value, _ = AsymptoticProblem(make_problem(1.0, 1.0), RULE).mean_chernoff()
     assert value == pytest.approx(0.0, abs=1e-12)
 
     prob = make_problem(1.0, 2.0)
     ap = AsymptoticProblem(prob, RULE)
     ts = np.arange(0.0, 1.0 + 1e-5, 1e-5)
     scan = np.array([ap.psi(t) for t in ts])
-    value, t_star = mean_chernoff(prob, RULE)
+    value, t_star = ap.mean_chernoff()
     assert value == pytest.approx(-scan.min(), abs=1e-9)
     assert t_star == pytest.approx(ts[scan.argmin()], abs=1e-4)
 
-    swapped, t_swap = mean_chernoff(make_problem(2.0, 1.0), RULE)
+    swapped, t_swap = AsymptoticProblem(make_problem(2.0, 1.0), RULE).mean_chernoff()
     assert swapped == pytest.approx(value, abs=1e-10)
     assert t_swap == pytest.approx(1 - t_star, abs=1e-6)
 
@@ -108,31 +99,32 @@ def test_mean_chernoff():
 def test_mean_hoeffding():
     prob = make_problem(1.0, 2.0)
     ap = AsymptoticProblem(prob, RULE)
-    assert mean_hoeffding(prob, 0.0, RULE) == ap.dpsi_boundary("left_at_1")
-    assert mean_hoeffding(make_problem(1.0, 1.0), 0.4, RULE) == pytest.approx(0.0, abs=1e-12)
+    assert ap.mean_hoeffding(0.0) == ap.dpsi_boundary("left_at_1")
+    same = AsymptoticProblem(make_problem(1.0, 1.0), RULE)
+    assert same.mean_hoeffding(0.4) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(NegativeParameter):
-        mean_hoeffding(prob, -1e-3, RULE)
+        ap.mean_hoeffding(-1e-3)
 
     # r close to d21: tiny but positive value, against a dense scan oracle
-    value = mean_hoeffding(prob, 0.16, RULE)
+    value = ap.mean_hoeffding(0.16)
     ts = np.arange(0.0, 1.0 - 1e-6, 1e-5)
     scan = max((-t * 0.16 - ap.psi(t)) / (1 - t) for t in ts)
     assert 0 < value < 0.01
     assert value == pytest.approx(scan, abs=1e-8)
 
-    values = [mean_hoeffding(prob, r, RULE) for r in (0.0, 0.02, 0.08, 0.16)]
+    values = [ap.mean_hoeffding(r) for r in (0.0, 0.02, 0.08, 0.16)]
     assert values == sorted(values, reverse=True)
 
 
 def test_polar():
-    prob = make_problem(1.0, 2.0)
-    chern, _ = mean_chernoff(prob, RULE)
-    assert polar(prob, 0.0, RULE) == pytest.approx(chern, abs=1e-10)
-    same = make_problem(1.0, 1.0)
+    ap = AsymptoticProblem(make_problem(1.0, 2.0), RULE)
+    chern, _ = ap.mean_chernoff()
+    assert ap.polar(0.0) == pytest.approx(chern, abs=1e-10)
+    same = AsymptoticProblem(make_problem(1.0, 1.0), RULE)
     for a in (-0.3, 0.0, 0.7):
-        assert polar(same, a, RULE) == pytest.approx(max(0.0, a), abs=1e-12)
-    d12 = dpsi_boundary(prob, "left_at_1", RULE)
-    assert polar(prob, d12, RULE) == pytest.approx(d12, abs=1e-10)
+        assert same.polar(a) == pytest.approx(max(0.0, a), abs=1e-12)
+    d12 = ap.dpsi_boundary("left_at_1")
+    assert ap.polar(d12) == pytest.approx(d12, abs=1e-10)
 
 
 def test_hoeffding_threshold():
@@ -141,24 +133,24 @@ def test_hoeffding_threshold():
     d12 = ap.dpsi_boundary("left_at_1")
     d21 = -ap.dpsi_boundary("right_at_0")
 
-    a0 = hoeffding_threshold(prob, 0.0, RULE)
+    a0 = ap.hoeffding_threshold(0.0)
     assert a0 == pytest.approx(d12, abs=1e-8)
     assert ap.polar(a0) == pytest.approx(d12, abs=1e-8)
 
     # a_r decreases toward the right derivative at 0 as r grows toward d21
     previous = a0
     for r in (0.02, 0.08, 0.99 * d21):
-        a_r = hoeffding_threshold(prob, r, RULE)
+        a_r = ap.hoeffding_threshold(r)
         assert a_r < previous
         previous = a_r
     assert previous > -d21  # stays above the lower bracket
     assert a_r - (-d21) < 0.02
 
     with pytest.raises(ParameterOutOfRange):
-        hoeffding_threshold(prob, d21, RULE)
+        ap.hoeffding_threshold(d21)
     for r in (0.0, 0.1):
         with pytest.raises(ParameterOutOfRange):
-            hoeffding_threshold(make_problem(1.0, 1.0), r, RULE)
+            AsymptoticProblem(make_problem(1.0, 1.0), RULE).hoeffding_threshold(r)
 
 
 THRESHOLD_CASES = [
@@ -257,8 +249,16 @@ def test_szego_check_identity_pair_against_direct_trace():
 
 def test_psi_endpoint_values():
     prob = make_problem({0: 1.5, 1: 0.5, -1: 0.5}, 2.0)
-    assert psi_asym(prob, 0.0, RULE) == pytest.approx(0.0, abs=1e-12)
-    assert psi_asym(prob, 1.0, RULE) == pytest.approx(0.0, abs=1e-12)
+    ap = AsymptoticProblem(prob, RULE)
+    assert ap.psi(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert ap.psi(1.0) == pytest.approx(0.0, abs=1e-12)
+    # faithful states: exactly 0, not rounding noise (-2.2e-16 by the formula)
+    ap = AsymptoticProblem(make_problem({0: 1.5, 1: 0.3 + 0.2j, -1: 0.3 - 0.2j}, 2.0), RULE)
+    assert (ap.psi(0.0), ap.psi(1.0)) == (0.0, 0.0)
+    # the vacuum has no full support: psi(0) = log <0|rho2|0> = -log(1 + q2)
+    ap = AsymptoticProblem(make_problem({}, 1.0), RULE)
+    assert ap.psi(0.0) == pytest.approx(-math.log(2.0), abs=1e-15)
+    assert ap.psi(1.0) == 0.0
 
 
 def test_uniform_convergence_surrogate():

@@ -246,3 +246,18 @@ def test_main_entrypoint(tmp_path):
     assert main([str(bad)]) == 1
     assert main([str(cfg), "--out", str(tmp_path), "--format", "csv"]) == 0
     assert (tmp_path / "asymptotic.csv").exists()
+
+
+def test_asymptotic_hoeffding_above_d21_is_exactly_zero(tmp_path):
+    # q1 = 1.5 + 2 Re((0.3 + 0.2i) e^{ix}) against 2: d21 = 0.0910, so at
+    # r = 0.1 the supremum sits at t = 0, where psi is exactly 0
+    q1 = [
+        {"index": [0], "re": 1.5},
+        {"index": [1], "re": 0.3, "im": 0.2},
+        {"index": [-1], "re": 0.3, "im": -0.2},
+    ]
+    config = parse_config(config_text(q1=q1, t_grid=5, r_list=[0.1], a_list=[0.0]))
+    assert run(config, out_dir=tmp_path) == 0
+    text = (tmp_path / "asymptotic.json").read_text()
+    assert json.loads(text)["scalars"]["d21"] < 0.1
+    assert '"hoeffding[r=0.1]": 0.0,' in text

@@ -8,15 +8,9 @@ from gaussht import (
     FiniteProblem,
     build_basis,
     build_state_data,
-    chernoff_finite,
-    displacement_factor,
     finite_report,
-    hoeffding_finite,
     lattice_state,
-    psi_n,
-    psi_n_extended,
     quasi_power_trace,
-    relative_entropy_finite,
     restrict_symbol,
 )
 from gaussht.finite import real_frame, site_frame
@@ -59,24 +53,24 @@ def test_build_state_data_vacuum():
 
 def test_displacement_factor_trivial_and_scalar():
     prob = make_problem(1.0, 2.0)
-    assert displacement_factor(prob, 2, 0.37) == 1.0
+    assert FiniteProblem(prob, 2).displacement_factor(0.37) == 1.0
 
     prob = make_problem(1.0, 1.0, y2={0: 1.0})
-    c = displacement_factor(prob, 1, 0.5)
+    c = FiniteProblem(prob, 1).displacement_factor(0.5)
     assert c == pytest.approx(math.exp(-1 / (2 * (3 + 2 * math.sqrt(2)))), abs=1e-14)
 
 
 def test_displacement_factor_vacuum_limits():
     # null hypothesis is the vacuum: t -> 0 limit keeps the bracket finite
-    prob = make_problem({}, 1.0, y2={0: 1.0})
-    assert displacement_factor(prob, 1, 0.0) == pytest.approx(math.exp(-0.25), abs=1e-14)
+    fp = FiniteProblem(make_problem({}, 1.0, y2={0: 1.0}), 1)
+    assert fp.displacement_factor(0.0) == pytest.approx(math.exp(-0.25), abs=1e-14)
     # alternative is the vacuum: t -> 1 limit, bracket is A_1 + I
-    prob = make_problem(1.0, {}, y2={0: 1.0})
-    assert displacement_factor(prob, 1, 1.0) == pytest.approx(math.exp(-0.25), abs=1e-14)
+    fp = FiniteProblem(make_problem(1.0, {}, y2={0: 1.0}), 1)
+    assert fp.displacement_factor(1.0) == pytest.approx(math.exp(-0.25), abs=1e-14)
     # away from the vacuum both limits are 1
-    prob = make_problem(1.0, 2.0, y2={0: 1.0})
-    assert displacement_factor(prob, 1, 0.0) == 1.0
-    assert displacement_factor(prob, 1, 1.0) == 1.0
+    fp = FiniteProblem(make_problem(1.0, 2.0, y2={0: 1.0}), 1)
+    assert fp.displacement_factor(0.0) == 1.0
+    assert fp.displacement_factor(1.0) == 1.0
 
 
 def test_vacuum_endpoint_against_fock():
@@ -93,45 +87,47 @@ def test_vacuum_endpoint_against_fock():
 @pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 1.0])
 def test_psi_identical_states(t):
     prob = make_problem(1.0, 1.0)
-    assert psi_n(prob, 3, t) == pytest.approx(0.0, abs=1e-10)
+    assert FiniteProblem(prob, 3).psi(t) == pytest.approx(0.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_psi_constant_symbols(n):
     prob = make_problem(1.0, 2.0)
-    assert psi_n(prob, n, 0.5) == pytest.approx(
+    assert FiniteProblem(prob, n).psi(0.5) == pytest.approx(
         -n * math.log(math.sqrt(6) - math.sqrt(2)), abs=1e-10
     )
 
 
 def test_psi_endpoints_zero_for_strictly_positive():
     prob = make_problem({0: 1.5, 1: 0.5, -1: 0.5}, 2.0)
-    assert psi_n(prob, 4, 0.0) == pytest.approx(0.0, abs=1e-9)
-    assert psi_n(prob, 4, 1.0) == pytest.approx(0.0, abs=1e-9)
+    fp = FiniteProblem(prob, 4)
+    assert fp.psi(0.0) == pytest.approx(0.0, abs=1e-9)
+    assert fp.psi(1.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_psi_extended():
     prob = make_problem(1.0, 2.0)
     t = 1.2
     per_mode = -math.log(2**1.2 * 3**-0.2 - 2**-0.2)
-    assert psi_n_extended(prob, 3, t) == pytest.approx(3 * per_mode, abs=1e-10)
+    assert FiniteProblem(prob, 3).psi_extended(t) == pytest.approx(3 * per_mode, abs=1e-10)
     with pytest.raises(NotTraceClass):
-        psi_n_extended(prob, 2, -2.0)
-    assert psi_n_extended(make_problem(1.0, 1.0), 2, 3.7) == pytest.approx(0.0, abs=1e-10)
+        FiniteProblem(prob, 2).psi_extended(-2.0)
+    same = FiniteProblem(make_problem(1.0, 1.0), 2)
+    assert same.psi_extended(3.7) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_psi_extended_rejects_displacement_mismatch():
     prob = make_problem(1.0, 2.0, y2={0: 1.0})
     with pytest.raises(DisplacementMismatch):
-        psi_n_extended(prob, 2, 0.5)
+        FiniteProblem(prob, 2).psi_extended(0.5)
     same = make_problem(1.0, 2.0, y1={0: 1.0}, y2={0: 1.0})
-    assert psi_n_extended(same, 1, 0.5) == pytest.approx(
+    assert FiniteProblem(same, 1).psi_extended(0.5) == pytest.approx(
         -math.log(math.sqrt(6) - math.sqrt(2)), abs=1e-12
     )
 
 
 def test_chernoff_finite():
-    value, t_star = chernoff_finite(make_problem(1.0, 1.0), 2)
+    value, t_star = FiniteProblem(make_problem(1.0, 1.0), 2).chernoff()
     assert value == pytest.approx(0.0, abs=1e-10)
 
     prob = make_problem(1.0, 2.0)
@@ -139,12 +135,12 @@ def test_chernoff_finite():
     # dense-grid scan oracle at resolution 1e-5
     ts = np.arange(0.0, 1.0 + 1e-5, 1e-5)
     scan = np.array([fp.psi(t) for t in ts])
-    value, t_star = chernoff_finite(prob, 1)
+    value, t_star = fp.chernoff()
     assert value == pytest.approx(-scan.min(), abs=1e-9)
     assert t_star == pytest.approx(ts[scan.argmin()], abs=1e-4)
 
-    v1, _ = chernoff_finite(prob, 1)
-    v4, _ = chernoff_finite(prob, 4)
+    v1, _ = fp.chernoff()
+    v4, _ = FiniteProblem(prob, 4).chernoff()
     assert v4 == pytest.approx(4 * v1, abs=1e-10)
 
 
@@ -152,31 +148,32 @@ def test_hoeffding_finite():
     prob = make_problem(1.0, 2.0)
     d12 = 2 * bernoulli_s2(0.5, 2 / 3)
     for n in (1, 3):
-        assert hoeffding_finite(prob, n, 0.0) == pytest.approx(n * d12, abs=1e-9)
-    assert hoeffding_finite(make_problem(1.0, 1.0), 2, 0.3) == pytest.approx(0.0, abs=1e-10)
+        assert FiniteProblem(prob, n).hoeffding(0.0) == pytest.approx(n * d12, abs=1e-9)
+    assert FiniteProblem(make_problem(1.0, 1.0), 2).hoeffding(0.3) == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(NegativeParameter):
-        hoeffding_finite(prob, 1, -0.1)
+        FiniteProblem(prob, 1).hoeffding(-0.1)
 
     n, r = 2, 0.05 * 2
-    value = hoeffding_finite(prob, n, r)
-    assert 0 < value < n * d12
     fp = FiniteProblem(prob, n)
+    value = fp.hoeffding(r)
+    assert 0 < value < n * d12
     ts = np.arange(0.0, 1.0 - 1e-6, 2e-5)
     scan = max((-t * r - fp.psi(t)) / (1 - t) for t in ts)
     assert value == pytest.approx(scan, abs=1e-8)
 
 
 def test_relative_entropy_finite():
-    assert relative_entropy_finite(make_problem(1.0, 1.0), 2) == pytest.approx(0.0, abs=1e-10)
-    prob = make_problem(1.0, 2.0)
-    assert relative_entropy_finite(prob, 1, "12") == pytest.approx(
+    same = FiniteProblem(make_problem(1.0, 1.0), 2)
+    assert same.relative_entropy() == pytest.approx(0.0, abs=1e-10)
+    fp = FiniteProblem(make_problem(1.0, 2.0), 1)
+    assert fp.relative_entropy("12") == pytest.approx(
         2 * bernoulli_s2(0.5, 2 / 3), abs=1e-12
     )
-    assert relative_entropy_finite(prob, 1, "21") == pytest.approx(
+    assert fp.relative_entropy("21") == pytest.approx(
         3 * bernoulli_s2(2 / 3, 0.5), abs=1e-12
     )
     with pytest.raises(StrictPositivityRequired):
-        relative_entropy_finite(make_problem({}, 1.0), 1)
+        FiniteProblem(make_problem({}, 1.0), 1).relative_entropy()
 
 
 def test_relative_entropy_with_displacement_fd():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaussht import (
+    FiniteProblem,
     build_basis,
     displace_state,
     displacement_operator,
@@ -14,11 +15,10 @@ from gaussht import (
     neyman_pearson,
     nussbaum_szkola,
     quasi_power_trace,
-    second_quantized_trace_check,
 )
 from gaussht import fock
 from gaussht.errors import BasisMismatch, SizeOverflow, SpectralRadiusError, UnitarityDefect
-from gaussht.fock import TruncatedFockState, permanent_repeated
+from gaussht.fock import TruncatedFockState
 
 from conftest import (
     DenseFockOracle,
@@ -27,6 +27,7 @@ from conftest import (
     make_problem,
     random_psd_contraction,
 )
+from oracles import permanent_repeated, second_quantized_trace_check
 
 
 def thermal_pair(cutoff):
@@ -201,9 +202,7 @@ def test_quasi_power_trace_displaced_ratio():
     prob = make_problem(1.0, 1.0, y2={0: 1.0})
     s1 = lattice_state(prob.state1, 1, 120)
     s2 = lattice_state(prob.state2, 1, 120)
-    from gaussht import displacement_factor
-
-    c = displacement_factor(prob, 1, 0.5)
+    c = FiniteProblem(prob, 1).displacement_factor(0.5)
     ratio = quasi_power_trace(s1, s2, 0.5) / s1.trace
     assert ratio == pytest.approx(c, abs=1e-8)
 
