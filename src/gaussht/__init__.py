@@ -16,7 +16,6 @@ from .symbols import (
     DisplacementSpec,
     GaussianStateSpec,
     SymbolSpec,
-    eval_symbol,
     make_displacement,
     make_trig_symbol,
     strict_positivity_required,
@@ -25,16 +24,12 @@ from .lattice import SiteIndexer, restrict_displacement, restrict_symbol
 from .calculus import EigenSystem, apply_fn, eigh
 from .finite import (
     FiniteProblem,
-    FiniteReport,
     FiniteStateData,
     build_state_data,
-    finite_report,
 )
 from .asymptotics import (
     AsymptoticProblem,
-    AsymptoticReport,
     QuadratureRule,
-    asymptotic_report,
     make_rule,
     szego_check,
 )
@@ -46,7 +41,6 @@ from .fock import (
     displacement_operator,
     displace_state,
     error_exponent_sweep,
-    fock_operator,
     gaussian_density,
     lattice_state,
     neyman_pearson,

@@ -6,7 +6,8 @@ The per-site limit of the quasi-power trace log is
 
 the mean taken with the normalized tensor trapezoid rule, which is exact
 for trigonometric polynomials.  psi(0) is exactly 0 when q1 > 0 at every
-node, and psi(1) likewise when q2 > 0.  Boundary derivatives come from
+node, and psi(1) likewise when q2 > 0; psi is exactly 0 at every t when the
+two symbols are equal.  Boundary derivatives come from
 closed-form integrals of the scalar Bernoulli relative entropy, never from
 one-sided differences (those, and a node-by-node quadrature, are test
 oracles in ``tests/oracles.py``).
@@ -15,7 +16,7 @@ oracles in ``tests/oracles.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,14 +31,14 @@ from .errors import (
 )
 from .lattice import DENSE_CAP, restrict_symbol
 from .symbols import (
+    DEFAULT_POINTS,  # re-exported: make_rule's default points per axis
     DiscriminationProblem,
     SymbolSpec,
+    default_points,
     symbol_values,
     strict_positivity_required,
     uniform_grid,
 )
-
-DEFAULT_POINTS = {1: 512, 2: 64, 3: 16}
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class QuadratureRule:
 
 def make_rule(dim: int, points_per_axis: int | None = None) -> QuadratureRule:
     if points_per_axis is None:
-        points_per_axis = DEFAULT_POINTS.get(dim, 8)
+        points_per_axis = default_points(dim)
     nodes = uniform_grid(dim, points_per_axis)
     return QuadratureRule(
         dim=dim,
@@ -87,6 +88,7 @@ class AsymptoticProblem:
         self.r2 = self.q2 / (1.0 + self.q2)
         self._log1p_q1 = np.log1p(self.q1)
         self._log1p_q2 = np.log1p(self.q2)
+        self._identical = problem.state1.symbol.coeffs == problem.state2.symbol.coeffs
 
     def _mean(self, vals: np.ndarray) -> float:
         if not np.all(np.isfinite(vals)):
@@ -106,6 +108,8 @@ class AsymptoticProblem:
     def psi(self, t: float) -> float:
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"psi is defined for t in [0, 1], got {t}")
+        if self._identical:
+            return 0.0
         faithful = self.r1 if t == 0.0 else self.r2 if t == 1.0 else None
         if faithful is not None and np.all(faithful > 0.0):
             return 0.0
@@ -151,7 +155,7 @@ class AsymptoticProblem:
 
     def mean_chernoff(self) -> tuple[float, float]:
         value, t_star = _search.chernoff(self.psi)
-        return max(value, 0.0), t_star
+        return _search.nonnegative(value), t_star
 
     def mean_hoeffding(self, r: float) -> float:
         if r < 0:
@@ -187,8 +191,9 @@ class AsymptoticProblem:
         [0, 1] of g(t) = (t - 1) psi'(t) - psi(t) = r: g decreases, since
         g'(t) = (t - 1) psi''(t) <= 0, from g(0) = d21 to g(1) = 0.  The
         root is bisected in t to a tolerance that keeps the error of a_r
-        below 1e-11 absolute while max psi'' <= 2e4.  The result is still
-        cross-checked against an independent search: polar(a_r) must equal
+        below 1e-11 absolute while max psi'' <= 2e4.  The same root gives
+        polar(a_r) = t_r a_r - psi(t_r) in closed form, and that value is
+        cross-checked against the one independent search: it must equal
         mean_hoeffding(r) to 1e-7.
         """
         self._require_strict()
@@ -206,7 +211,8 @@ class AsymptoticProblem:
         tol_t = max(2e-11 / curvature, 1e-15)
         t_r = _search.bisect_decreasing(lambda t: self._legendre_gap(t) - r, 0.0, 1.0, tol=tol_t)
         a_r = self.psi_prime(t_r)
-        gap = abs(self.polar(a_r) - self.mean_hoeffding(r))
+        # polar(a_r) = t_r a_r - psi(t_r) by duality, since psi'(t_r) = a_r
+        gap = abs(t_r * a_r - self.psi(t_r) - self.mean_hoeffding(r))
         if gap > 1e-7:
             raise DomainError(
                 f"polar({a_r:.12g}) disagrees with the Hoeffding value by {gap:.3e}"
@@ -249,46 +255,3 @@ def szego_check(
         lhs = float(np.real(np.trace(acc))) / n ** symbols[0].dim
         rows.append(SzegoRow(n=n, lhs=lhs, rhs=rhs, gap=abs(lhs - rhs)))
     return rows
-
-
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """Per-site curve and scalar block for one problem."""
-
-    t_grid: np.ndarray
-    psi: np.ndarray
-    mean_chernoff: float
-    t_star: float
-    mean_hoeffding: Mapping[float, float]
-    polar: Mapping[float, float]
-    d12: float | None
-    d21: float | None
-
-
-def asymptotic_report(
-    problem: DiscriminationProblem,
-    rule: QuadratureRule,
-    t_grid: np.ndarray,
-    r_list: Sequence[float] = (),
-    a_list: Sequence[float] = (),
-) -> AsymptoticReport:
-    ap = AsymptoticProblem(problem, rule)
-    psi = np.array([ap.psi(t) for t in t_grid])
-    if psi.size and psi.max() > 1e-9:
-        raise DomainError(f"psi exceeded its nonpositivity tolerance: {psi.max():.3e}")
-    chernoff, t_star = ap.mean_chernoff()
-    strict = strict_positivity_required(problem)
-    hoeffding = {
-        float(r): _search.nonnegative(ap.mean_hoeffding(float(r))) for r in r_list if r > 0 or strict
-    }
-    polar_map = {float(a): ap.polar(float(a)) for a in a_list}
-    return AsymptoticReport(
-        t_grid=np.asarray(t_grid, dtype=float),
-        psi=psi,
-        mean_chernoff=chernoff,
-        t_star=t_star,
-        mean_hoeffding=hoeffding,
-        polar=polar_map,
-        d12=ap.dpsi_boundary("left_at_1") if strict else None,
-        d21=-ap.dpsi_boundary("right_at_0") if strict else None,
-    )

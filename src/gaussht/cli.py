@@ -2,7 +2,10 @@
 
 The configuration is a single JSON document (flags only override output
 location and caps), unknown keys are rejected, and identical configurations
-produce byte-identical report files.
+produce byte-identical report files.  The ``finite`` and ``asymptotic``
+reports call the methods of ``FiniteProblem`` and ``AsymptoticProblem``
+directly; the one check on the psi curve, the rate filter and the clamp of
+every exponent at 0 are written once here, for both.
 """
 
 from __future__ import annotations
@@ -12,13 +15,13 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, finite, fock
-from .errors import GaussHTError, IoError, ParseError, ValidationError
+from . import _search, asymptotics, finite, fock
+from .errors import DomainError, GaussHTError, IoError, ParseError, ValidationError
 from .lattice import DENSE_CAP
 from .symbols import (
     DiscriminationProblem,
@@ -56,20 +59,21 @@ _TOP_KEYS = {
 
 @dataclass
 class RunConfig:
+    """A validated configuration; ``parse_config`` fills in every default."""
+
     problem: DiscriminationProblem
     command: str
-    t_grid: int = 101
-    n_list: tuple[int, ...] = (1, 2, 3, 4)
-    r_list: tuple[float, ...] = ()
-    a_list: tuple[float, ...] = ()
-    quadrature_points: int | None = None
-    fock_cutoff: int = 60
-    basis_cap: int = fock.BASIS_CAP
-    dense_cap: int = DENSE_CAP
-    format: str = "json"
-    output: str | None = None
-    digest: str = ""
-    raw: dict = field(default_factory=dict)
+    t_grid: int
+    n_list: tuple[int, ...]
+    r_list: tuple[float, ...]
+    a_list: tuple[float, ...]
+    quadrature_points: int | None
+    fock_cutoff: int
+    basis_cap: int
+    dense_cap: int
+    format: str
+    output: str | None
+    digest: str
 
 
 def _is_int(value) -> bool:
@@ -227,7 +231,6 @@ def parse_config(text: str) -> RunConfig:
         format=fmt,
         output=output,
         digest=digest,
-        raw=doc,
     )
 
 
@@ -287,24 +290,43 @@ def _max_psi_gap(config: RunConfig, ap: asymptotics.AsymptoticProblem, n: int, t
     return max(abs(fp.psi(t) / site - ap.psi(t)) for t in ts)
 
 
+def _psi_curve(psi, t_grid: int) -> list[tuple[float, float]]:
+    """(t, psi(t)) at t_grid points of [0, 1]; psi <= 0, so a value above 1e-9 fails."""
+    curve = [(float(t), psi(t)) for t in np.linspace(0.0, 1.0, t_grid)]
+    worst = max((p for _, p in curve), default=0.0)
+    if worst > 1e-9:
+        raise DomainError(f"psi exceeded its nonpositivity tolerance: {worst:.3e}")
+    return curve
+
+
+def _exponents(config: RunConfig, chernoff, hoeffding) -> tuple[float, float, dict]:
+    """(Chernoff value, its t, {rate: Hoeffding value}), each value clamped at 0.
+
+    The rate 0 is the relative entropy, so it is reported only when both
+    symbols are strictly positive.
+    """
+    value, t_star = chernoff()
+    strict = strict_positivity_required(config.problem)
+    rates = {r: _search.nonnegative(hoeffding(r)) for r in config.r_list if r > 0 or strict}
+    return _search.nonnegative(value), t_star, rates
+
+
 def _run_finite(config: RunConfig) -> dict:
-    ts = np.linspace(0.0, 1.0, config.t_grid) if config.t_grid else np.array([])
     report = _base_report(config, {"dense_cap": config.dense_cap, "t_points": config.t_grid})
+    strict = strict_positivity_required(config.problem)
     rows = []
     scalars = {}
     for n in config.n_list:
-        fr = finite.finite_report(
-            config.problem, n, ts, r_list=config.r_list, dense_cap=config.dense_cap
-        )
+        fp = finite.FiniteProblem(config.problem, n, dense_cap=config.dense_cap)
         site = n**config.problem.dim
-        for t, p in zip(fr.t_grid, fr.psi_values):
-            rows.append([n, float(t), float(p), float(p) / site])
-        scalars[f"n={n}/chernoff"] = fr.chernoff
-        scalars[f"n={n}/t_star"] = fr.t_star
-        for r, value in fr.hoeffding.items():
+        rows += [[n, t, p, p / site] for t, p in _psi_curve(fp.psi, config.t_grid)]
+        chernoff, t_star, hoeffding = _exponents(config, fp.chernoff, fp.hoeffding)
+        scalars[f"n={n}/chernoff"] = chernoff
+        scalars[f"n={n}/t_star"] = t_star
+        for r, value in hoeffding.items():
             scalars[f"n={n}/hoeffding[r={_fmt(r)}]"] = value
-        scalars[f"n={n}/rel_entropy_12"] = fr.rel_entropy_12
-        scalars[f"n={n}/rel_entropy_21"] = fr.rel_entropy_21
+        scalars[f"n={n}/rel_entropy_12"] = fp.relative_entropy("12") if strict else None
+        scalars[f"n={n}/rel_entropy_21"] = fp.relative_entropy("21") if strict else None
     report["columns"] = ["n", "t", "psi_n", "psi_n_per_site"]
     report["rows"] = rows
     report["scalars"] = scalars
@@ -313,24 +335,22 @@ def _run_finite(config: RunConfig) -> dict:
 
 def _run_asymptotic(config: RunConfig) -> dict:
     rule = _rule(config)
-    ts = np.linspace(0.0, 1.0, config.t_grid) if config.t_grid else np.array([])
-    ar = asymptotics.asymptotic_report(
-        config.problem, rule, ts, r_list=config.r_list, a_list=config.a_list
-    )
-    report = _base_report(
-        config, {"quadrature_points_per_axis": rule.points_per_axis}
-    )
+    ap = asymptotics.AsymptoticProblem(config.problem, rule)
+    strict = strict_positivity_required(config.problem)
+    report = _base_report(config, {"quadrature_points_per_axis": rule.points_per_axis})
     report["columns"] = ["t", "psi"]
-    report["rows"] = [[float(t), float(p)] for t, p in zip(ar.t_grid, ar.psi)]
+    report["rows"] = [[t, p] for t, p in _psi_curve(ap.psi, config.t_grid)]
+    chernoff, t_star, hoeffding = _exponents(config, ap.mean_chernoff, ap.mean_hoeffding)
+    polar = {a: ap.polar(a) for a in config.a_list}
     scalars = {
-        "mean_chernoff": ar.mean_chernoff,
-        "t_star": ar.t_star,
-        "d12": ar.d12,
-        "d21": ar.d21,
+        "mean_chernoff": chernoff,
+        "t_star": t_star,
+        "d12": ap.dpsi_boundary("left_at_1") if strict else None,
+        "d21": -ap.dpsi_boundary("right_at_0") if strict else None,
     }
-    for r, value in ar.mean_hoeffding.items():
+    for r, value in hoeffding.items():
         scalars[f"hoeffding[r={_fmt(r)}]"] = value
-    for a, value in ar.polar.items():
+    for a, value in polar.items():
         scalars[f"polar[a={_fmt(a)}]"] = value
     report["scalars"] = scalars
     return report

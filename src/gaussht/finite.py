@@ -42,13 +42,14 @@ and t = 1 the bracket of a vacuum state is 2 Q + 2 I of the other state,
 diagonal in its eigenbasis.  psi(0) is exactly 0 when state 1 has full
 support (its power 0 is then the identity and state 2 has unit trace), and
 psi(1) likewise when state 2 has.  The relative entropies are spectral sums
-over the overlaps P = (V_b^T V_a)^2.
+over the overlaps P = (V_b^T V_a)^2.  Two identical states (equal symbols and
+equal displacements on the cube) give psi = 0 and relative entropies 0
+exactly, where the formulas above would leave rounding noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -152,6 +153,8 @@ class FiniteProblem:
         self._r2 = self.data2.q / (1.0 + self.data2.q)
         self._c = self.data2.V.T @ self.data1.V
         self._z = self.data1.V.T @ ((self.ybar - 1j * self.ybar[::-1]) / np.sqrt(2.0))
+        same_symbol = problem.state1.symbol.coeffs == problem.state2.symbol.coeffs
+        self._identical = same_symbol and not self.has_displacement
 
     @property
     def has_displacement(self) -> bool:
@@ -207,6 +210,8 @@ class FiniteProblem:
         """log of the quasi-power trace of the two restricted states, t in [0, 1]."""
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"psi_n is defined for t in [0, 1], got {t}")
+        if self._identical:
+            return 0.0
         faithful = self._r1 if t == 0.0 else self._r2 if t == 1.0 else None
         if faithful is not None and np.all(faithful > 0.0):
             return 0.0
@@ -256,6 +261,8 @@ class FiniteProblem:
             da, db, zb, overlap = self.data2, self.data1, self._z, overlap.T
         else:
             raise ValidationError("direction", "must be '12' or '21'")
+        if self._identical:
+            return 0.0
         with np.errstate(divide="ignore"):
             log_ra = np.log(da.q) - np.log1p(da.q)
             log_rb = np.log(db.q) - np.log1p(db.q)
@@ -265,47 +272,3 @@ class FiniteProblem:
         if self.has_displacement:
             value -= self.kappa * float(log_rb @ np.abs(zb) ** 2)
         return value
-
-
-@dataclass(frozen=True)
-class FiniteReport:
-    """Per-n summary: psi curve, Chernoff distance, Hoeffding values, entropies."""
-
-    n: int
-    t_grid: np.ndarray
-    psi_values: np.ndarray
-    chernoff: float
-    t_star: float
-    hoeffding: Mapping[float, float]
-    rel_entropy_12: float | None
-    rel_entropy_21: float | None
-
-
-def finite_report(
-    problem: DiscriminationProblem,
-    n: int,
-    t_grid: np.ndarray,
-    r_list: tuple[float, ...] = (),
-    dense_cap: int = DENSE_CAP,
-) -> FiniteReport:
-    fp = FiniteProblem(problem, n, dense_cap=dense_cap)
-    psi_values = np.array([fp.psi(t) for t in t_grid])
-    if psi_values.size and psi_values.max() > 1e-9:
-        raise DomainError(f"psi_n exceeded its nonpositivity tolerance: {psi_values.max():.3e}")
-    chernoff, t_star = fp.chernoff()
-    strict = strict_positivity_required(problem)
-    hoeffding = {
-        float(r): _search.nonnegative(fp.hoeffding(float(r))) for r in r_list if r > 0 or strict
-    }
-    d12 = fp.relative_entropy("12") if strict else None
-    d21 = fp.relative_entropy("21") if strict else None
-    return FiniteReport(
-        n=n,
-        t_grid=np.asarray(t_grid, dtype=float),
-        psi_values=psi_values,
-        chernoff=_search.nonnegative(chernoff),
-        t_star=t_star,
-        hoeffding=hoeffding,
-        rel_entropy_12=d12,
-        rel_entropy_21=d21,
-    )

@@ -17,7 +17,7 @@ block-diagonal state is never diagonalised as one dense matrix.  Eigenpairs
 are then ordered blockwise, not by eigenvalue, so only sums over eigenpairs,
 which do not depend on that order, are meaningful.  The brute-force
 oracles for these blocks (Ryser permanents, the second-quantized trace
-identity) live in ``tests/oracles.py``.
+identity, the dense Fock operator) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -149,14 +149,6 @@ def fock_operator_blocks(x: np.ndarray, basis: FockBasis) -> list[np.ndarray]:
             cur[:, cols] = grown / np.sqrt(occs[cols, j])
         blocks.append(cur)
     return blocks
-
-
-def fock_operator(x: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Dense matrix of the Fock operator (block diagonal in total photon number)."""
-    out = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for sl, block in zip(basis.block_slices, fock_operator_blocks(x, basis)):
-        out[sl, sl] = block
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Translation-invariant symbols on the torus and the states they generate.
 
 A symbol is a real-valued trigonometric polynomial q on [0, 2pi)^dim given
-by finitely many Fourier coefficients.  Derived functions: a = 1 + 2q and
-r = q / (1 + q).  A Gaussian state spec couples a symbol with a finitely
-supported displacement vector and the commutation parameter kappa.
+by finitely many Fourier coefficients; this module evaluates q itself, and
+the layers form the derived functions (a = 1 + 2q, r = q / (1 + q)) from it.
+A Gaussian state spec couples a symbol with a finitely supported
+displacement vector and the commutation parameter kappa.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from .errors import (
 HERMITIAN_TOL = 1e-12
 IMAG_TOL = 1e-10
 
-_DEFAULT_GRID = {1: 512, 2: 64, 3: 16}
+# Points per axis of the default grids (symbol validation, torus quadrature),
+# by lattice dimension; 8 above dimension 3.
+DEFAULT_POINTS = {1: 512, 2: 64, 3: 16}
+
+
+def default_points(dim: int) -> int:
+    return DEFAULT_POINTS.get(dim, 8)
 
 
 def _as_multi_index(key, dim: int) -> tuple:
@@ -71,8 +78,8 @@ def uniform_grid(dim: int, points_per_axis: int) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, dim)
 
 
-def symbol_values(sym: SymbolSpec, points: np.ndarray, kind: str = "q") -> np.ndarray:
-    """Evaluate q, a = 1+2q, or r = q/(1+q) at an (N, dim) array of points."""
+def symbol_values(sym: SymbolSpec, points: np.ndarray) -> np.ndarray:
+    """Evaluate q at an (N, dim) array of points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.zeros(points.shape[0], dtype=complex)
     for j, c in sym.coeffs.items():
@@ -82,22 +89,7 @@ def symbol_values(sym: SymbolSpec, points: np.ndarray, kind: str = "q") -> np.nd
         raise NonHermitianCoefficients(
             "symbol evaluated to a non-real value; coefficients are inconsistent"
         )
-    q = vals.real
-    if kind == "q":
-        return q
-    if kind == "a":
-        return 1.0 + 2.0 * q
-    if kind == "r":
-        return q / (1.0 + q)
-    raise ValidationError("kind", f"unknown symbol kind {kind!r}")
-
-
-def eval_symbol(sym: SymbolSpec, x, kind: str = "q") -> float:
-    """Evaluate the symbol at a single point of [0, 2pi)^dim."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (sym.dim,):
-        raise ValidationError("x", f"point must have {sym.dim} coordinates")
-    return float(symbol_values(sym, x[None, :], kind)[0])
+    return vals.real
 
 
 def make_trig_symbol(
@@ -139,7 +131,7 @@ def make_trig_symbol(
 
     max_index = max((max(abs(k) for k in j) for j in completed), default=0)
     if grid_points_per_axis is None:
-        grid_points_per_axis = max(_DEFAULT_GRID.get(dim, 8), 2 * max_index + 1)
+        grid_points_per_axis = max(default_points(dim), 2 * max_index + 1)
     if grid_points_per_axis < max(2, 2 * max_index + 1):
         raise ValidationError(
             "grid_points_per_axis",

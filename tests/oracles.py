@@ -6,9 +6,28 @@ from itertools import product
 
 import numpy as np
 
-from gaussht import apply_fn, eigh, fock_operator
+from gaussht import apply_fn, eigh
 from gaussht.calculus import psd_values, support_power
-from gaussht.errors import DomainError, NonFiniteIntegrand, SpectralRadiusError
+from gaussht.errors import DomainError, NonFiniteIntegrand, SpectralRadiusError, ValidationError
+from gaussht.fock import fock_operator_blocks
+from gaussht.symbols import symbol_values
+
+
+def eval_symbol(sym, x, kind="q"):
+    """q, a = 1 + 2q or r = q / (1 + q) at a single point of [0, 2pi)^dim."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (sym.dim,):
+        raise ValidationError("x", f"point must have {sym.dim} coordinates")
+    q = float(symbol_values(sym, x[None, :])[0])
+    return {"q": q, "a": 1.0 + 2.0 * q, "r": q / (1.0 + q)}[kind]
+
+
+def fock_operator(x, basis):
+    """Dense matrix of the Fock operator (block diagonal in total photon number)."""
+    out = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for sl, block in zip(basis.block_slices, fock_operator_blocks(x, basis)):
+        out[sl, sl] = block
+    return out
 
 
 def sandwich_power(r1, r2, t):

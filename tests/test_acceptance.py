@@ -17,7 +17,6 @@ from gaussht import (
     FiniteProblem,
     build_basis,
     error_exponent_sweep,
-    fock_operator,
     lattice_state,
     make_rule,
     make_trig_symbol,
@@ -29,7 +28,7 @@ from gaussht import (
 from gaussht.asymptotics import AsymptoticProblem
 
 from conftest import classical_min_error, make_problem, random_psd_contraction
-from oracles import psi_second_unweighted, trace_fn
+from oracles import fock_operator, psi_second_unweighted, trace_fn
 
 RULE = make_rule(1)
 

@@ -208,6 +208,23 @@ def test_hoeffding_threshold_psi_evaluation_count():
     assert 0 < calls <= 300
 
 
+def test_hoeffding_threshold_gate_uses_closed_form_polar():
+    """The gate takes polar(a_r) from the root itself, so one threshold costs
+    the one mean_hoeffding search and a psi(t_r): at most 100 evaluations."""
+    ap = AsymptoticProblem(
+        make_problem({(0, 0, 0): 1.5, (1, 0, 0): 0.3 + 0.2j, (0, 1, 1): 0.25}, 2.0, dim=3),
+        make_rule(3, 16),
+    )
+    d21 = -ap.dpsi_boundary("right_at_0")
+    psi = ap.psi
+    calls = []
+    ap.psi = lambda t: calls.append(t) or psi(t)
+    for fraction in (0.0, 0.2, 0.5, 0.9):
+        calls.clear()
+        ap.hoeffding_threshold(fraction * d21)
+        assert 0 < len(calls) <= 100
+
+
 def test_hoeffding_matches_polar_at_threshold():
     prob = make_problem({0: 1.5, 1: 0.5, -1: 0.5}, 2.0)
     ap = AsymptoticProblem(prob, RULE)

@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gaussht import AsymptoticProblem, FiniteProblem, make_rule
 from gaussht.cli import emit, main, parse_config, run
 from gaussht.errors import IoError, ParseError, ValidationError
 
@@ -261,3 +263,74 @@ def test_asymptotic_hoeffding_above_d21_is_exactly_zero(tmp_path):
     text = (tmp_path / "asymptotic.json").read_text()
     assert json.loads(text)["scalars"]["d21"] < 0.1
     assert '"hoeffding[r=0.1]": 0.0,' in text
+
+
+# 1 + 0.5 cos x, and the constant 1
+IDENTICAL = [{"0": 1.0, "1": 0.25, "-1": 0.25}, {"0": 1.0}]
+
+
+@pytest.mark.parametrize("q", IDENTICAL)
+def test_identical_states_report_exact_zeros(tmp_path, q):
+    common = dict(q1=q, q2=q, n_list=[2], t_grid=5, r_list=[0.0, 0.05])
+    assert run(parse_config(config_text(**common)), out_dir=tmp_path) == 0
+    assert '"mean_chernoff": 0.0,' in (tmp_path / "asymptotic.json").read_text()
+    assert run(parse_config(config_text(command="finite", **common)), out_dir=tmp_path) == 0
+    text = (tmp_path / "finite.json").read_text()
+    assert '"n=2/chernoff": 0.0,' in text
+    assert '"n=2/rel_entropy_12": 0.0,' in text
+
+
+@pytest.mark.parametrize("q", IDENTICAL)
+def test_verify_passes_on_identical_states(tmp_path, capsys, q):
+    assert run(parse_config(config_text(command="verify", q1=q, q2=q)), out_dir=tmp_path) == 0
+    assert "check psi_second_fd: PASS (curvature is zero" in capsys.readouterr().out
+
+
+def test_reports_are_the_class_method_values(tmp_path):
+    """A displaced dim-2 pair with complex coefficients: every finite and
+    asymptotic report value is the value of the class method it names."""
+    doc = dict(
+        dim=2,
+        q1={"0,0": 1.2, "1,0": {"re": 0.2, "im": 0.15}, "0,1": {"re": 0.1, "im": -0.2}},
+        q2={"0,0": 2.0, "1,1": {"re": 0.3, "im": 0.25}},
+        y1=[{"site": [1, 0], "re": 0.3, "im": 0.1}],
+        y2=[{"site": [0, 1], "re": -0.2, "im": 0.4}],
+        n_list=[2],
+        t_grid=4,
+        r_list=[0.0, 0.05],
+        a_list=[0.0, 0.05],
+    )
+    config = parse_config(config_text(command="finite", **doc))
+    assert run(config, out_dir=tmp_path) == 0
+    report = json.loads((tmp_path / "finite.json").read_text())
+    fp = FiniteProblem(config.problem, 2)
+    ts = np.linspace(0.0, 1.0, 4)
+    assert report["rows"] == [[2, t, fp.psi(t), fp.psi(t) / 4] for t in ts]
+    chernoff, t_star = fp.chernoff()
+    assert report["scalars"] == {
+        "n=2/chernoff": chernoff,
+        "n=2/t_star": t_star,
+        "n=2/hoeffding[r=0]": fp.hoeffding(0.0),
+        "n=2/hoeffding[r=0.05]": fp.hoeffding(0.05),
+        "n=2/rel_entropy_12": fp.relative_entropy("12"),
+        "n=2/rel_entropy_21": fp.relative_entropy("21"),
+    }
+    assert min(report["scalars"].values()) > 0
+
+    config = parse_config(config_text(command="asymptotic", **doc))
+    assert run(config, out_dir=tmp_path) == 0
+    report = json.loads((tmp_path / "asymptotic.json").read_text())
+    ap = AsymptoticProblem(config.problem, make_rule(2))
+    assert report["rows"] == [[t, ap.psi(t)] for t in ts]
+    chernoff, t_star = ap.mean_chernoff()
+    assert report["scalars"] == {
+        "mean_chernoff": chernoff,
+        "t_star": t_star,
+        "d12": ap.dpsi_boundary("left_at_1"),
+        "d21": -ap.dpsi_boundary("right_at_0"),
+        "hoeffding[r=0]": ap.mean_hoeffding(0.0),
+        "hoeffding[r=0.05]": ap.mean_hoeffding(0.05),
+        "polar[a=0]": ap.polar(0.0),
+        "polar[a=0.05]": ap.polar(0.05),
+    }
+    assert min(report["scalars"].values()) > 0

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,11 +9,11 @@ from gaussht import (
     FiniteProblem,
     build_basis,
     build_state_data,
-    finite_report,
     lattice_state,
     quasi_power_trace,
     restrict_symbol,
 )
+from gaussht.cli import parse_config, run
 from gaussht.finite import real_frame, site_frame
 from gaussht.errors import (
     DisplacementMismatch,
@@ -223,16 +224,25 @@ def test_fock_oracle_equivalence():
             )
 
 
-def test_finite_report_fields():
-    prob = make_problem(1.0, 2.0)
-    rep = finite_report(prob, 2, np.linspace(0, 1, 11), r_list=(0.05,))
-    assert rep.psi_values.max() <= 1e-9
-    assert rep.chernoff >= 0
-    assert rep.rel_entropy_12 == pytest.approx(2 * 2 * bernoulli_s2(0.5, 2 / 3), abs=1e-9)
-    assert 0.05 in rep.hoeffding
+def finite_cli_report(tmp_path, q1, q2, t_grid, r_list=()):
+    """The CLI ``finite`` report at n = 2 of two constant symbols, kappa 0.5."""
+    doc = {"command": "finite", "dim": 1, "kappa": 0.5, "q1": q1, "q2": q2,
+           "n_list": [2], "t_grid": t_grid, "r_list": list(r_list)}
+    assert run(parse_config(json.dumps(doc)), out_dir=tmp_path) == 0
+    report = json.loads((tmp_path / "finite.json").read_text())
+    return [row[2] for row in report["rows"]], report["scalars"]
 
-    vac = finite_report(make_problem({}, 1.0), 2, np.linspace(0, 1, 5))
-    assert vac.rel_entropy_12 is None
+
+def test_finite_report_fields(tmp_path):
+    psi_values, scalars = finite_cli_report(tmp_path, {"0": 1.0}, {"0": 2.0}, 11, r_list=(0.05,))
+    assert max(psi_values) <= 1e-9
+    assert scalars["n=2/chernoff"] >= 0
+    d12 = scalars["n=2/rel_entropy_12"]
+    assert d12 == pytest.approx(2 * 2 * bernoulli_s2(0.5, 2 / 3), abs=1e-9)
+    assert "n=2/hoeffding[r=0.05]" in scalars
+
+    _, vac = finite_cli_report(tmp_path, {}, {"0": 1.0}, 5)
+    assert vac["n=2/rel_entropy_12"] is None
 
 
 def test_touching_zero_symbol_allowed_for_psi_only():

@@ -9,7 +9,6 @@ from gaussht import (
     displace_state,
     displacement_operator,
     error_exponent_sweep,
-    fock_operator,
     gaussian_density,
     lattice_state,
     neyman_pearson,
@@ -27,7 +26,7 @@ from conftest import (
     make_problem,
     random_psd_contraction,
 )
-from oracles import permanent_repeated, second_quantized_trace_check
+from oracles import fock_operator, permanent_repeated, second_quantized_trace_check
 
 
 def thermal_pair(cutoff):

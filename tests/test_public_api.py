@@ -30,6 +30,13 @@ REMOVED = (
     "trace_fn",
     "positive_part_projector",
     "second_quantized_trace_check",
+    "eval_symbol",
+    "fock_operator",
+    # report records that only copied class-method values for the CLI
+    "FiniteReport",
+    "finite_report",
+    "AsymptoticReport",
+    "asymptotic_report",
 )
 
 # what bench/workload.py and bench/anchors.py look up
