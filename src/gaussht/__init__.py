@@ -21,7 +21,7 @@ from .symbols import (
     strict_positivity_required,
 )
 from .lattice import SiteIndexer, restrict_displacement, restrict_symbol
-from .calculus import EigenSystem, apply_fn, eigh
+from .calculus import EigenSystem, eigh
 from .finite import (
     FiniteProblem,
     FiniteStateData,
@@ -31,7 +31,6 @@ from .asymptotics import (
     AsymptoticProblem,
     QuadratureRule,
     make_rule,
-    szego_check,
 )
 from .fock import (
     FockBasis,

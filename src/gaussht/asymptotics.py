@@ -7,21 +7,22 @@ The per-site limit of the quasi-power trace log is
 the mean taken with the normalized tensor trapezoid rule, which is exact
 for trigonometric polynomials.  psi(0) is exactly 0 when q1 > 0 at every
 node, and psi(1) likewise when q2 > 0; psi is exactly 0 at every t when the
-two symbols are equal.  Boundary derivatives come from
-closed-form integrals of the scalar Bernoulli relative entropy, never from
-one-sided differences (those, and a node-by-node quadrature, are test
-oracles in ``tests/oracles.py``).
+two symbols have the same nonzero coefficients.  Boundary derivatives come
+from closed-form integrals of the scalar Bernoulli relative entropy, never
+from one-sided differences (those, and a node-by-node quadrature, are test
+oracles in ``tests/oracles.py``).  The per-site Szego limit of
+Tr log(I + Q_n) / n^dim is the mean of log(1 + q) on the same rule; the
+``verify`` command compares it with the finite layer's log N_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _search
-from .calculus import apply_fn, eigh, support_power
+from .calculus import support_power
 from .errors import (
     DomainError,
     NegativeParameter,
@@ -29,12 +30,11 @@ from .errors import (
     ParameterOutOfRange,
     StrictPositivityRequired,
 )
-from .lattice import DENSE_CAP, restrict_symbol
 from .symbols import (
     DEFAULT_POINTS,  # re-exported: make_rule's default points per axis
     DiscriminationProblem,
-    SymbolSpec,
     default_points,
+    same_symbol,
     symbol_values,
     strict_positivity_required,
     uniform_grid,
@@ -88,7 +88,7 @@ class AsymptoticProblem:
         self.r2 = self.q2 / (1.0 + self.q2)
         self._log1p_q1 = np.log1p(self.q1)
         self._log1p_q2 = np.log1p(self.q2)
-        self._identical = problem.state1.symbol.coeffs == problem.state2.symbol.coeffs
+        self._identical = same_symbol(problem.state1.symbol, problem.state2.symbol)
 
     def _mean(self, vals: np.ndarray) -> float:
         if not np.all(np.isfinite(vals)):
@@ -219,39 +219,3 @@ class AsymptoticProblem:
             )
         return a_r
 
-
-@dataclass(frozen=True)
-class SzegoRow:
-    n: int
-    lhs: float
-    rhs: float
-    gap: float
-
-
-def szego_check(
-    symbols: Sequence[SymbolSpec],
-    functions: Sequence[Callable[[np.ndarray], np.ndarray]],
-    n_list: Sequence[int],
-    rule: QuadratureRule,
-    dense_cap: int = DENSE_CAP,
-) -> list[SzegoRow]:
-    """Compare (1/n^dim) Tr f1(Q1^(n)) ... fr(Qr^(n)) against its torus integral."""
-    if len(symbols) != len(functions):
-        raise DomainError("need one function per symbol")
-    with np.errstate(all="ignore"):
-        prod = np.ones(len(rule.nodes))
-        for sym, f in zip(symbols, functions):
-            prod = prod * np.asarray(f(symbol_values(sym, rule.nodes)), dtype=float)
-    if not np.all(np.isfinite(prod)):
-        raise NonFiniteIntegrand("integrand is not finite at a quadrature node")
-    rhs = float(np.sum(prod) * rule.weight)
-
-    rows = []
-    for n in n_list:
-        acc = None
-        for sym, f in zip(symbols, functions):
-            m = apply_fn(eigh(restrict_symbol(sym, n, dense_cap=dense_cap)), f)
-            acc = m if acc is None else acc @ m
-        lhs = float(np.real(np.trace(acc))) / n ** symbols[0].dim
-        rows.append(SzegoRow(n=n, lhs=lhs, rhs=rhs, gap=abs(lhs - rhs)))
-    return rows

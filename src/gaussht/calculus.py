@@ -1,17 +1,16 @@
-"""Hermitian eigendecomposition and scalar functional calculus.
+"""Hermitian eigendecomposition and scalar functions of eigenvalues.
 
 Everything routes through a full eigendecomposition: one ``eigh`` per matrix,
-then any number of scalar functions of it.  Powers of positive semidefinite
-matrices follow the support convention 0**t = 0 for every real t, so t = 0
-yields the support projection.  The dense matrix oracles built on these
-(sandwiched powers, spectral traces, positive-part projectors) live in
-``tests/oracles.py``.
+then any number of scalar functions of its eigenvalues.  Powers of positive
+semidefinite matrices follow the support convention 0**t = 0 for every real
+t, so t = 0 yields the support projection.  The dense matrix functions built
+on these (``apply_fn``, sandwiched powers, spectral traces, positive-part
+projectors) are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -45,16 +44,6 @@ def eigh(m: np.ndarray) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return EigenSystem(values=values, vectors=vectors)
-
-
-def apply_fn(es: EigenSystem, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """V diag(f(values)) V^*, re-Hermitized by averaging with its adjoint."""
-    with np.errstate(all="ignore"):
-        fvals = np.asarray(f(es.values), dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        raise DomainError("function is not finite at an eigenvalue")
-    m = (es.vectors * fvals) @ es.vectors.conj().T
-    return 0.5 * (m + m.conj().T)
 
 
 def psd_values(values: np.ndarray, clip: float = PSD_CLIP) -> np.ndarray:

@@ -37,14 +37,6 @@ class DomainError(GaussHTError):
     """A scalar function was evaluated outside its domain."""
 
 
-class NotTraceClass(GaussHTError):
-    """The sandwiched product has an eigenvalue at or above one."""
-
-
-class DisplacementMismatch(GaussHTError):
-    """Operation requires both states to carry the same displacement."""
-
-
 class StrictPositivityRequired(GaussHTError):
     """Operation requires both symbols to be bounded away from zero."""
 
@@ -70,7 +62,7 @@ class BasisMismatch(GaussHTError):
 
 
 class UnitarityDefect(GaussHTError):
-    """Truncated displacement operator fails its unitarity self-test."""
+    """Truncated displacement operator fails its exponential-vector self-test."""
 
 
 class IoError(GaussHTError):

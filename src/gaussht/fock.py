@@ -232,7 +232,10 @@ def displacement_operator(y: np.ndarray, kappa: float, basis: FockBasis) -> np.n
 
     The inner product in the defining action on exponential vectors is
     conjugate linear in the first argument; a self-test against that action
-    runs here, together with a unitarity check on the low-photon sectors.
+    on the low-photon sectors runs here, and fails when the cutoff is too
+    small for the displacement.  W = V exp(i Lambda) V* is formed from the
+    eigendecomposition of a Hermitian matrix, so it is unitary up to
+    eigensolver rounding and is not checked for that.
     """
     y = np.asarray(y, dtype=complex).reshape(basis.modes)
     gen = np.zeros((basis.dimension, basis.dimension), dtype=complex)
@@ -245,14 +248,6 @@ def displacement_operator(y: np.ndarray, kappa: float, basis: FockBasis) -> np.n
     w = (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
     low = basis.block_slices[basis.cutoff // 2].stop
-    u = w.conj().T @ w
-    defect = float(np.max(np.abs(u[:low, :low] - np.eye(low))))
-    if defect > 1e-6:
-        raise UnitarityDefect(
-            f"truncated displacement is not unitary on low sectors (defect {defect:.3e}); "
-            "increase the cutoff or reduce the displacement"
-        )
-
     for z in (np.zeros(basis.modes), np.full(basis.modes, 0.15 - 0.1j)):
         lhs = w @ exponential_vector(z, basis)
         phase = np.exp(

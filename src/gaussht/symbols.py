@@ -71,6 +71,13 @@ class SymbolSpec:
         return max(max(abs(k) for k in j) for j in self.coeffs)
 
 
+def same_symbol(a: SymbolSpec, b: SymbolSpec) -> bool:
+    """True when the two symbols have the same nonzero Fourier coefficients;
+    a coefficient stored as an explicit zero does not tell them apart."""
+    nonzero_a, nonzero_b = ({j: c for j, c in s.coeffs.items() if c != 0} for s in (a, b))
+    return nonzero_a == nonzero_b
+
+
 def uniform_grid(dim: int, points_per_axis: int) -> np.ndarray:
     """Tensor grid of points 2*pi*k/N per axis, shape (N^dim, dim)."""
     axis = 2.0 * np.pi * np.arange(points_per_axis) / points_per_axis

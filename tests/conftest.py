@@ -9,7 +9,6 @@ from gaussht import (
     DiscriminationProblem,
     EigenSystem,
     GaussianStateSpec,
-    apply_fn,
     eigh,
     make_displacement,
     make_trig_symbol,
@@ -20,7 +19,7 @@ from gaussht._search import bisect_decreasing
 from gaussht.calculus import psd_values, support_power
 from gaussht.errors import DomainError
 from gaussht.fock import _power_or_support
-from oracles import sandwich_power
+from oracles import apply_fn, sandwich_power
 
 
 def make_problem(coeffs1, coeffs2, kappa=0.5, dim=1, y1=None, y2=None):

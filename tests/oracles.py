@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 
-from gaussht import apply_fn, eigh
+from gaussht import eigh
 from gaussht.calculus import psd_values, support_power
 from gaussht.errors import DomainError, NonFiniteIntegrand, SpectralRadiusError, ValidationError
 from gaussht.fock import fock_operator_blocks
@@ -28,6 +28,16 @@ def fock_operator(x, basis):
     for sl, block in zip(basis.block_slices, fock_operator_blocks(x, basis)):
         out[sl, sl] = block
     return out
+
+
+def apply_fn(es, f):
+    """V diag(f(values)) V^*, re-Hermitized by averaging with its adjoint."""
+    with np.errstate(all="ignore"):
+        fvals = np.asarray(f(es.values), dtype=float)
+    if not np.all(np.isfinite(fvals)):
+        raise DomainError("function is not finite at an eigenvalue")
+    m = (es.vectors * fvals) @ es.vectors.conj().T
+    return 0.5 * (m + m.conj().T)
 
 
 def sandwich_power(r1, r2, t):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussht import FiniteProblem, make_rule, make_trig_symbol, szego_check
+from gaussht import FiniteProblem, build_state_data, make_rule
 from gaussht.asymptotics import AsymptoticProblem
 from gaussht.errors import (
     NegativeParameter,
@@ -13,7 +13,7 @@ from gaussht.errors import (
 from gaussht.lattice import restrict_symbol
 
 from conftest import make_problem, nested_hoeffding_threshold
-from oracles import integrate, psi_second_unweighted
+from oracles import integrate, psi_second_unweighted, trace_fn
 
 RULE = make_rule(1)
 
@@ -234,34 +234,26 @@ def test_hoeffding_matches_polar_at_threshold():
         assert ap.mean_hoeffding(r) == pytest.approx(ap.polar(a_r), abs=1e-7)
 
 
-def test_szego_check_log():
-    sym = make_trig_symbol(1, {0: 1.5, 1: 0.5, -1: 0.5})
-    rows = szego_check([sym], [np.log1p], [16, 64, 256], make_rule(1, 512))
-    target = math.log((2.5 + math.sqrt(5.25)) / 2)
-    assert rows[-1].rhs == pytest.approx(target, abs=1e-12)
-    assert rows[-1].gap < 1e-2
-    gaps = [row.gap for row in rows]
+def test_szego_tracelog_against_trace_oracle():
+    """-log N_n / n^dim, which the Szego check of verify reads, is the
+    normalized trace of log(I + Q_n), and it approaches the torus mean of
+    log(1 + q)."""
+    cases = (
+        (1, {0: 1.5, 1: 0.5, -1: 0.5}, (8, 16, 32, 64)),
+        (2, {(0, 0): 1.2, (1, 0): 0.2 + 0.15j, (0, 1): 0.1 - 0.2j, (1, 1): 0.05 + 0.1j}, (2, 4, 8)),
+    )
+    for dim, coeffs, sizes in cases:
+        state = make_problem(coeffs, 1.0, dim=dim).state1
+        for n in sizes:
+            site = n**dim
+            oracle = trace_fn(restrict_symbol(state.symbol, n), np.log1p) / site
+            assert -build_state_data(state, n).logN / site == pytest.approx(oracle, abs=1e-12)
+
+    ap = AsymptoticProblem(make_problem(cases[0][1], 1.0), make_rule(1, 512))
+    torus = float(np.sum(np.log1p(ap.q1)) * ap.rule.weight)
+    assert torus == pytest.approx(math.log((2.5 + math.sqrt(5.25)) / 2), abs=1e-12)
+    gaps = [abs(-build_state_data(ap.problem.state1, n).logN / n - torus) for n in cases[0][2]]
     assert gaps == sorted(gaps, reverse=True)
-
-
-def test_szego_check_constant_exact():
-    sym = make_trig_symbol(1, {0: 2.0})
-    rows = szego_check([sym], [lambda s: s**2 + 1], [1, 3, 7], RULE)
-    for row in rows:
-        assert row.gap == pytest.approx(0.0, abs=1e-12)
-
-
-def test_szego_check_identity_pair_against_direct_trace():
-    """lhs must equal the direct normalized trace of the product matrix."""
-    q1 = make_trig_symbol(1, {0: 1.5, 1: 0.5, -1: 0.5})
-    q2 = make_trig_symbol(1, {0: 2.0, 2: 0.25, -2: 0.25})
-    identity = lambda s: s
-    for n in (4, 9):
-        row = szego_check([q1, q2], [identity, identity], [n], RULE)[0]
-        direct = np.real(np.trace(restrict_symbol(q1, n) @ restrict_symbol(q2, n))) / n
-        assert row.lhs == pytest.approx(float(direct), abs=1e-12)
-    big = szego_check([q1, q2], [identity, identity], [256], RULE)[0]
-    assert big.gap < 1e-2
 
 
 def test_psi_endpoint_values():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gaussht import apply_fn, eigh
+from gaussht import eigh
 from gaussht.errors import DomainError
 
 from conftest import random_hermitian, random_psd_contraction
-from oracles import positive_part_projector, sandwich_power, trace_fn
+from oracles import apply_fn, positive_part_projector, sandwich_power, trace_fn
 
 
 def test_eigh_examples():

@@ -265,13 +265,18 @@ def test_asymptotic_hoeffding_above_d21_is_exactly_zero(tmp_path):
     assert '"hoeffding[r=0.1]": 0.0,' in text
 
 
-# 1 + 0.5 cos x, and the constant 1
-IDENTICAL = [{"0": 1.0, "1": 0.25, "-1": 0.25}, {"0": 1.0}]
+# (q1, q2) pairs of one state: 1 + 0.5 cos x, the constant 1, and
+# 1 + 0.5 cos x against itself written with an explicit zero coefficient
+IDENTICAL = [
+    ({"0": 1.0, "1": 0.25, "-1": 0.25},) * 2,
+    ({"0": 1.0},) * 2,
+    ({"0": 1.0, "1": 0.25, "-1": 0.25}, {"0": 1.0, "1": 0.25, "-1": 0.25, "2": 0.0}),
+]
 
 
 @pytest.mark.parametrize("q", IDENTICAL)
 def test_identical_states_report_exact_zeros(tmp_path, q):
-    common = dict(q1=q, q2=q, n_list=[2], t_grid=5, r_list=[0.0, 0.05])
+    common = dict(q1=q[0], q2=q[1], n_list=[2], t_grid=5, r_list=[0.0, 0.05])
     assert run(parse_config(config_text(**common)), out_dir=tmp_path) == 0
     assert '"mean_chernoff": 0.0,' in (tmp_path / "asymptotic.json").read_text()
     assert run(parse_config(config_text(command="finite", **common)), out_dir=tmp_path) == 0
@@ -282,7 +287,8 @@ def test_identical_states_report_exact_zeros(tmp_path, q):
 
 @pytest.mark.parametrize("q", IDENTICAL)
 def test_verify_passes_on_identical_states(tmp_path, capsys, q):
-    assert run(parse_config(config_text(command="verify", q1=q, q2=q)), out_dir=tmp_path) == 0
+    config = parse_config(config_text(command="verify", q1=q[0], q2=q[1]))
+    assert run(config, out_dir=tmp_path) == 0
     assert "check psi_second_fd: PASS (curvature is zero" in capsys.readouterr().out
 
 

@@ -15,12 +15,7 @@ from gaussht import (
 )
 from gaussht.cli import parse_config, run
 from gaussht.finite import real_frame, site_frame
-from gaussht.errors import (
-    DisplacementMismatch,
-    NegativeParameter,
-    NotTraceClass,
-    StrictPositivityRequired,
-)
+from gaussht.errors import NegativeParameter, StrictPositivityRequired
 
 from conftest import DenseFiniteOracle, make_problem
 
@@ -104,27 +99,6 @@ def test_psi_endpoints_zero_for_strictly_positive():
     fp = FiniteProblem(prob, 4)
     assert fp.psi(0.0) == pytest.approx(0.0, abs=1e-9)
     assert fp.psi(1.0) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_psi_extended():
-    prob = make_problem(1.0, 2.0)
-    t = 1.2
-    per_mode = -math.log(2**1.2 * 3**-0.2 - 2**-0.2)
-    assert FiniteProblem(prob, 3).psi_extended(t) == pytest.approx(3 * per_mode, abs=1e-10)
-    with pytest.raises(NotTraceClass):
-        FiniteProblem(prob, 2).psi_extended(-2.0)
-    same = FiniteProblem(make_problem(1.0, 1.0), 2)
-    assert same.psi_extended(3.7) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_psi_extended_rejects_displacement_mismatch():
-    prob = make_problem(1.0, 2.0, y2={0: 1.0})
-    with pytest.raises(DisplacementMismatch):
-        FiniteProblem(prob, 2).psi_extended(0.5)
-    same = make_problem(1.0, 2.0, y1={0: 1.0}, y2={0: 1.0})
-    assert FiniteProblem(same, 1).psi_extended(0.5) == pytest.approx(
-        -math.log(math.sqrt(6) - math.sqrt(2)), abs=1e-12
-    )
 
 
 def test_chernoff_finite():

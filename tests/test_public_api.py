@@ -32,12 +32,22 @@ REMOVED = (
     "second_quantized_trace_check",
     "eval_symbol",
     "fock_operator",
+    "szego_check",
+    "apply_fn",
     # report records that only copied class-method values for the CLI
     "FiniteReport",
     "finite_report",
     "AsymptoticReport",
     "asymptotic_report",
 )
+
+# second routes and the code that only they used, gone from their modules
+GONE = {
+    asymptotics: ("szego_check", "SzegoRow"),
+    finite: ("W_ONE_TOL",),
+    finite.FiniteProblem: ("psi_extended",),
+    errors: ("NotTraceClass", "DisplacementMismatch"),
+}
 
 # what bench/workload.py and bench/anchors.py look up
 HOOKS = {
@@ -83,6 +93,9 @@ def test_public_surface():
         assert name not in exported
         with pytest.raises(ImportError):
             exec(f"from gaussht import {name}", {})
+    for owner, names in GONE.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
     for owner, names in HOOKS.items():
         for name in names:
             assert hasattr(owner, name), (owner, name)
