@@ -20,7 +20,7 @@ from .symbols import (
     make_trig_symbol,
     strict_positivity_required,
 )
-from .lattice import SiteIndexer, restrict_displacement, restrict_symbol
+from .lattice import restrict_displacement, restrict_symbol
 from .calculus import EigenSystem, eigh
 from .finite import (
     FiniteProblem,

@@ -7,6 +7,12 @@ the block structure in total photon number, so operators of the form
 closed-form trace identities hold blockwise; only the tail above M is lost,
 and that loss is carried around explicitly as ``trace_deficit``.
 
+The basis grows one total-photon sector at a time: every state of sector
+m - 1 is raised in every mode, and the distinct results are sector m.  The
+map from a state and a mode to its raised state (``FockBasis.raise_idx``,
+with the creation amplitudes ``raise_amp``) is all that the operators built
+here read: the Fock operator blocks and the displacement generator.
+
 Each state diagonalises its blocks once, on first use, and keeps the
 eigensystems (``TruncatedFockState.spectra``); every quasi-power trace and
 Nussbaum-Szkola table of the state reuses them.  When the two states are
@@ -16,8 +22,10 @@ block, over which each state's own block eigenvectors are laid out; a
 block-diagonal state is never diagonalised as one dense matrix.  Eigenpairs
 are then ordered blockwise, not by eigenvalue, so only sums over eigenpairs,
 which do not depend on that order, are meaningful.  The brute-force
-oracles for these blocks (Ryser permanents, the second-quantized trace
-identity, the dense Fock operator) live in ``tests/oracles.py``.
+oracles for the basis and these blocks (the enumerated occupation vectors,
+Ryser permanents, the dense creation matrices and the second-quantized
+trace identity built on them, the dense Fock operator) live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -49,6 +57,12 @@ class FockBasis:
 
     States are ordered by (total, occupation) lexicographically, which makes
     each total-photon sector a contiguous index range (``block_slices``).
+    Sector m is grown from sector m - 1: every state is raised in every mode
+    and the distinct results, sorted, are the sector.  The same step yields
+    the raise map of the creation operators a_i^+ on the truncation:
+    ``raise_idx[g, i]`` is the index of ``occupations[g] + e_i`` and
+    ``raise_amp[g, i] = sqrt(occupations[g, i] + 1)`` its amplitude.  On the
+    top sector, whose raises leave the truncation, they are -1 and 0.
     """
 
     def __init__(self, modes: int, cutoff: int, cap: int = BASIS_CAP):
@@ -61,49 +75,24 @@ class FockBasis:
             )
         self.modes = modes
         self.cutoff = cutoff
-        states: list[tuple[int, ...]] = []
-        slices: list[slice] = []
-        for m in range(cutoff + 1):
-            start = len(states)
-            states.extend(_compositions(m, modes))
-            slices.append(slice(start, len(states)))
-        self.occupations = np.array(states, dtype=np.int64)
-        self.dimension = len(states)
-        self.index = {s: i for i, s in enumerate(states)}
-        self.block_slices = slices
-        self._raise_idx, self._raise_amp = self._build_raise_maps()
-
-    def _build_raise_maps(self):
-        idx = np.full((self.dimension, self.modes), -1, dtype=np.int64)
-        amp = np.zeros((self.dimension, self.modes))
-        for g, occ in enumerate(self.occupations):
-            if int(occ.sum()) == self.cutoff:
-                continue
-            for i in range(self.modes):
-                target = list(occ)
-                target[i] += 1
-                idx[g, i] = self.index[tuple(target)]
-                amp[g, i] = math.sqrt(occ[i] + 1)
-        return idx, amp
-
-    def creation_matrix(self, mode: int) -> np.ndarray:
-        """Dense truncated creation operator for one mode."""
-        a = np.zeros((self.dimension, self.dimension), dtype=complex)
-        valid = self._raise_idx[:, mode] >= 0
-        a[self._raise_idx[valid, mode], np.flatnonzero(valid)] = self._raise_amp[valid, mode]
-        return a
+        self.dimension = dimension
+        sectors = [np.zeros((1, modes), dtype=np.int64)]
+        self.block_slices = [slice(0, 1)]
+        maps = []
+        for _ in range(cutoff):
+            raised = sectors[-1][:, None, :] + np.eye(modes, dtype=np.int64)
+            sector, inverse = np.unique(raised.reshape(-1, modes), axis=0, return_inverse=True)
+            start = self.block_slices[-1].stop
+            maps.append(start + inverse.reshape(-1, modes))
+            sectors.append(sector)
+            self.block_slices.append(slice(start, start + len(sector)))
+        maps.append(np.full_like(sectors[-1], -1))
+        self.occupations = np.concatenate(sectors)
+        self.raise_idx = np.concatenate(maps)
+        self.raise_amp = np.where(self.raise_idx >= 0, np.sqrt(self.occupations + 1.0), 0.0)
 
     def compatible(self, other: "FockBasis") -> bool:
         return self.modes == other.modes and self.cutoff == other.cutoff
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
 
 
 def build_basis(modes: int, cutoff: int, cap: int = BASIS_CAP) -> FockBasis:
@@ -127,8 +116,8 @@ def fock_operator_blocks(x: np.ndarray, basis: FockBasis) -> list[np.ndarray]:
         dst = basis.block_slices[m]
         size = dst.stop - dst.start
         prev = blocks[m - 1]
-        tgt_local = basis._raise_idx[src] - dst.start
-        amp = basis._raise_amp[src]
+        tgt_local = basis.raise_idx[src] - dst.start
+        amp = basis.raise_amp[src]
         occs = basis.occupations[dst]
         # column c grows from its parent occ - e_j, j its first occupied mode;
         # raising in one mode is injective, so each scatter below hits
@@ -233,18 +222,18 @@ def displacement_operator(y: np.ndarray, kappa: float, basis: FockBasis) -> np.n
     The inner product in the defining action on exponential vectors is
     conjugate linear in the first argument; a self-test against that action
     on the low-photon sectors runs here, and fails when the cutoff is too
-    small for the displacement.  W = V exp(i Lambda) V* is formed from the
-    eigendecomposition of a Hermitian matrix, so it is unitary up to
-    eigensolver rounding and is not checked for that.
+    small for the displacement.  The generator is one scatter of y along the
+    basis raise map, minus its adjoint; -i times it is exactly Hermitian in
+    floating point, and W = V exp(i Lambda) V* is formed from its
+    eigendecomposition, so W is unitary up to eigensolver rounding and is
+    not checked for that.
     """
     y = np.asarray(y, dtype=complex).reshape(basis.modes)
-    gen = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for i in range(basis.modes):
-        adag = basis.creation_matrix(i)
-        gen += y[i] * adag - np.conj(y[i]) * adag.conj().T
-    gen *= math.sqrt(kappa)
-    h = -1j * gen
-    vals, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    g, i = np.nonzero(basis.raise_idx >= 0)
+    raising = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    raising[basis.raise_idx[g, i], g] = y[i] * basis.raise_amp[g, i]
+    gen = math.sqrt(kappa) * (raising - raising.conj().T)
+    vals, vecs = np.linalg.eigh(-1j * gen)
     w = (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
     low = basis.block_slices[basis.cutoff // 2].stop
@@ -270,7 +259,7 @@ def displace_state(state: TruncatedFockState, w: np.ndarray) -> TruncatedFockSta
 
 
 def _block_eigh(block: np.ndarray):
-    vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
+    vals, vecs = np.linalg.eigh(block)
     return psd_values(vals, clip=1e-10), vecs
 
 
@@ -355,8 +344,7 @@ def neyman_pearson(
     tr1 = 0.0
     tr2 = 0.0
     for b1, b2 in pairs:
-        diff = factor * b1 - b2
-        vals, vecs = np.linalg.eigh(0.5 * (diff + diff.conj().T))
+        vals, vecs = np.linalg.eigh(factor * b1 - b2)
         keep = vecs[:, vals > 0.0]
         tr1 += float(np.real(np.sum(keep.conj() * (b1 @ keep))))
         tr2 += float(np.real(np.sum(keep.conj() * (b2 @ keep))))

@@ -1,8 +1,12 @@
-"""Finite-volume restrictions: multilevel Toeplitz matrices and truncated vectors."""
+"""Finite-volume restrictions: multilevel Toeplitz matrices and truncated vectors.
+
+The sites of the cube C_n = {0, ..., n-1}^dim are indexed in C order, as
+``np.ravel_multi_index`` numbers them: the last coordinate varies fastest.
+Reversing that index reverses every coordinate at once, which is the
+reversal J that ``finite.real_frame`` relies on.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,38 +14,6 @@ from .errors import SizeOverflow, ValidationError
 from .symbols import DisplacementSpec, SymbolSpec
 
 DENSE_CAP = 4096
-
-
-@dataclass(frozen=True)
-class SiteIndexer:
-    """Lexicographic bijection between the cube C_n in Z^dim and 0..n^dim-1."""
-
-    dim: int
-    side: int
-
-    @property
-    def total(self) -> int:
-        return self.side**self.dim
-
-    def index(self, site) -> int:
-        idx = 0
-        for k in site:
-            if not 0 <= k < self.side:
-                raise ValidationError("site", f"{tuple(site)} outside cube of side {self.side}")
-            idx = idx * self.side + int(k)
-        return idx
-
-    def site(self, index: int) -> tuple:
-        if not 0 <= index < self.total:
-            raise ValidationError("index", f"{index} out of range")
-        out = []
-        for _ in range(self.dim):
-            out.append(index % self.side)
-            index //= self.side
-        return tuple(reversed(out))
-
-    def contains(self, site) -> bool:
-        return len(site) == self.dim and all(0 <= k < self.side for k in site)
 
 
 def restrict_symbol(sym: SymbolSpec, n: int, dense_cap: int = DENSE_CAP) -> np.ndarray:
@@ -69,9 +41,9 @@ def restrict_symbol(sym: SymbolSpec, n: int, dense_cap: int = DENSE_CAP) -> np.n
 
 def restrict_displacement(disp: DisplacementSpec, n: int) -> np.ndarray:
     """Truncate the displacement to the cube C_n; sites outside are dropped."""
-    indexer = SiteIndexer(dim=disp.dim, side=n)
-    vec = np.zeros(indexer.total, dtype=complex)
+    shape = (n,) * disp.dim
+    vec = np.zeros(n**disp.dim, dtype=complex)
     for site, value in disp.support.items():
-        if indexer.contains(site):
-            vec[indexer.index(site)] = value
+        if all(0 <= k < n for k in site):
+            vec[np.ravel_multi_index(site, shape)] = value
     return vec

@@ -5,6 +5,13 @@ by finitely many Fourier coefficients; this module evaluates q itself, and
 the layers form the derived functions (a = 1 + 2q, r = q / (1 + q)) from it.
 A Gaussian state spec couples a symbol with a finitely supported
 displacement vector and the commutation parameter kappa.
+
+Every torus grid (symbol validation, quadrature) is a uniform tensor grid
+of at most ``GRID_CAP`` = 2**24 nodes.  That is the largest default grid, 8
+points per axis in dimension 8, whose array of float64 nodes takes 1 GiB.
+A larger grid raises ``SizeOverflow`` before anything is allocated, instead
+of a raw numpy allocation error or a many-gigabyte allocation that might
+be attempted.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import numpy as np
 from .errors import (
     NegativeSymbol,
     NonHermitianCoefficients,
+    SizeOverflow,
     ValidationError,
 )
 
@@ -28,6 +36,9 @@ IMAG_TOL = 1e-10
 # Points per axis of the default grids (symbol validation, torus quadrature),
 # by lattice dimension; 8 above dimension 3.
 DEFAULT_POINTS = {1: 512, 2: 64, 3: 16}
+
+# Most nodes in one tensor grid (see the module docstring).
+GRID_CAP = 2**24
 
 
 def default_points(dim: int) -> int:
@@ -63,13 +74,6 @@ class SymbolSpec:
         """True when q is identically zero."""
         return all(abs(c) <= 1e-15 for c in self.coeffs.values())
 
-    @property
-    def max_index(self) -> int:
-        """Largest absolute coefficient index over all axes."""
-        if not self.coeffs:
-            return 0
-        return max(max(abs(k) for k in j) for j in self.coeffs)
-
 
 def same_symbol(a: SymbolSpec, b: SymbolSpec) -> bool:
     """True when the two symbols have the same nonzero Fourier coefficients;
@@ -79,7 +83,14 @@ def same_symbol(a: SymbolSpec, b: SymbolSpec) -> bool:
 
 
 def uniform_grid(dim: int, points_per_axis: int) -> np.ndarray:
-    """Tensor grid of points 2*pi*k/N per axis, shape (N^dim, dim)."""
+    """Tensor grid of points 2*pi*k/N per axis, shape (N^dim, dim).
+
+    Raises SizeOverflow, before anything is allocated, above GRID_CAP nodes.
+    """
+    if points_per_axis**dim > GRID_CAP:
+        raise SizeOverflow(
+            f"grid of {points_per_axis}^{dim} nodes exceeds cap {GRID_CAP}"
+        )
     axis = 2.0 * np.pi * np.arange(points_per_axis) / points_per_axis
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, dim)

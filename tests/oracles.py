@@ -2,7 +2,7 @@
 package computes by faster routes, and one rejected candidate formula."""
 
 import math
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -20,6 +20,25 @@ def eval_symbol(sym, x, kind="q"):
         raise ValidationError("x", f"point must have {sym.dim} coordinates")
     q = float(symbol_values(sym, x[None, :])[0])
     return {"q": q, "a": 1.0 + 2.0 * q, "r": q / (1.0 + q)}[kind]
+
+
+def occupation_sectors(modes, cutoff):
+    """Every occupation vector with total <= cutoff, one sorted list per total."""
+    return [
+        sorted(
+            tuple(combo.count(i) for i in range(modes))
+            for combo in combinations_with_replacement(range(modes), total)
+        )
+        for total in range(cutoff + 1)
+    ]
+
+
+def creation_matrix(basis, mode):
+    """Dense truncated creation operator of one mode, read off the raise map."""
+    a = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    valid = basis.raise_idx[:, mode] >= 0
+    a[basis.raise_idx[valid, mode], np.flatnonzero(valid)] = basis.raise_amp[valid, mode]
+    return a
 
 
 def fock_operator(x, basis):
@@ -124,7 +143,7 @@ def second_quantized_trace_check(a, b, basis):
     if avals.max(initial=0.0) >= 1.0 or avals.min(initial=0.0) < -1e-12:
         raise SpectralRadiusError("need 0 <= A < I")
     gamma = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    adags = [basis.creation_matrix(i) for i in range(basis.modes)]
+    adags = [creation_matrix(basis, i) for i in range(basis.modes)]
     for i in range(basis.modes):
         for j in range(basis.modes):
             if b[i, j] != 0:

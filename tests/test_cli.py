@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaussht import AsymptoticProblem, FiniteProblem, make_rule
+from gaussht import AsymptoticProblem, FiniteProblem, make_rule, make_trig_symbol
 from gaussht.cli import emit, main, parse_config, run
-from gaussht.errors import IoError, ParseError, ValidationError
+from gaussht.errors import IoError, ParseError, SizeOverflow, ValidationError
 
 MINIMAL = {"dim": 1, "kappa": 0.5, "q1": {"0": 1}, "q2": {"0": 2}, "command": "asymptotic"}
 
@@ -248,6 +248,29 @@ def test_main_entrypoint(tmp_path):
     assert main([str(bad)]) == 1
     assert main([str(cfg), "--out", str(tmp_path), "--format", "csv"]) == 0
     assert (tmp_path / "asymptotic.csv").exists()
+
+
+# 100000^3 grid nodes would take petabytes: both torus grids stop at the cap
+DIM3 = dict(dim=3, q1={"0,0,0": 1.0}, q2={"0,0,0": 2.0})
+
+
+def test_oversized_quadrature_grid_is_named(tmp_path, capsys):
+    config = parse_config(config_text(quadrature_points=100000, **DIM3))
+    assert run(config, out_dir=tmp_path) == 2
+    assert "SizeOverflow" in capsys.readouterr().err
+
+
+def test_oversized_symbol_grid_is_named(tmp_path, capsys):
+    cfg = tmp_path / "problem.json"
+    cfg.write_text(config_text(symbol_grid=100000, **DIM3))
+    assert main([str(cfg), "--out", str(tmp_path)]) == 1
+    assert "SizeOverflow" in capsys.readouterr().err
+
+
+def test_far_coefficient_default_grid_is_named():
+    # the default validation grid would have 2 * 10**15 + 1 points
+    with pytest.raises(SizeOverflow):
+        make_trig_symbol(1, {0: 2.0, 10**15: 0.5})
 
 
 def test_asymptotic_hoeffding_above_d21_is_exactly_zero(tmp_path):

@@ -26,7 +26,12 @@ from conftest import (
     make_problem,
     random_psd_contraction,
 )
-from oracles import fock_operator, permanent_repeated, second_quantized_trace_check
+from oracles import (
+    fock_operator,
+    occupation_sectors,
+    permanent_repeated,
+    second_quantized_trace_check,
+)
 
 
 def thermal_pair(cutoff):
@@ -51,6 +56,25 @@ def test_basis_ordering_and_blocks():
     occs = [tuple(o) for o in basis.occupations]
     assert occs == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     assert [s.stop - s.start for s in basis.block_slices] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 0), (1, 60), (2, 12), (3, 20), (4, 6), (27, 2)])
+def test_basis_and_raise_map_against_brute_force(modes, cutoff):
+    basis = build_basis(modes, cutoff)
+    sectors = occupation_sectors(modes, cutoff)
+    assert [tuple(o) for o in basis.occupations] == [s for sector in sectors for s in sector]
+    stops = np.cumsum([len(sector) for sector in sectors])
+    assert basis.block_slices == [slice(b - len(s), b) for s, b in zip(sectors, stops)]
+
+    occ = basis.occupations
+    top = basis.block_slices[-1]
+    below = occ[: top.start]
+    for i in range(modes):
+        raised = below + np.eye(modes, dtype=np.int64)[i]
+        assert np.array_equal(occ[basis.raise_idx[: top.start, i]], raised)
+    assert np.all(basis.raise_idx[top] == -1)
+    assert np.array_equal(basis.raise_amp[: top.start], np.sqrt(below + 1.0))
+    assert np.all(basis.raise_amp[top] == 0.0)
 
 
 def test_fock_operator_identity_and_diag():

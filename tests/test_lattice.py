@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from gaussht import SiteIndexer, make_displacement, make_trig_symbol, restrict_displacement, restrict_symbol
+from gaussht import DisplacementSpec, make_displacement, make_trig_symbol, restrict_displacement, restrict_symbol
 from gaussht.errors import SizeOverflow
 from gaussht.symbols import symbol_values, uniform_grid
-
-
-def test_indexer_bijective():
-    idx = SiteIndexer(dim=2, side=3)
-    assert idx.total == 9
-    assert idx.index((0, 0)) == 0
-    for i in range(idx.total):
-        assert idx.index(idx.site(i)) == i
 
 
 def test_constant_symbol_restricts_to_identity():
@@ -53,16 +45,20 @@ def test_restrict_displacement_examples():
     assert np.allclose(v, [1, 0, 0])
     v = restrict_displacement(make_displacement(1, {5: 2j}), 3)
     assert np.allclose(v, np.zeros(3))
+    # C order: site (1, 2) of the side-3 square is index 1 * 3 + 2
+    v = restrict_displacement(make_displacement(2, {(1, 2): 3.0, (1, 4): 1j}), 3)
+    assert np.array_equal(v, np.eye(9)[5] * 3.0)
+    v = restrict_displacement(DisplacementSpec(dim=2, support={(-1, 0): 1.0}), 3)
+    assert np.array_equal(v, np.zeros(9))
 
 
 def test_toeplitz_structure(rng):
     sym = make_trig_symbol(2, {(0, 0): 2.0, (1, 0): 0.4, (1, 1): 0.2 - 0.1j})
     n = 4
     m = restrict_symbol(sym, n)
-    idx = SiteIndexer(dim=2, side=n)
-    sites = [idx.site(i) for i in range(idx.total)]
+    sites = np.stack(np.unravel_index(np.arange(n**2), (n, n)), axis=1)
     for _ in range(50):
-        i, j, k, l = rng.integers(0, idx.total, size=4)
+        i, j, k, l = rng.integers(0, n**2, size=4)
         di = tuple(a - b for a, b in zip(sites[i], sites[j]))
         dk = tuple(a - b for a, b in zip(sites[k], sites[l]))
         if di == dk:
@@ -83,7 +79,6 @@ def test_nesting():
     n = 3
     big = restrict_symbol(sym, n)
     small = restrict_symbol(sym, n - 1)
-    big_idx = SiteIndexer(dim=2, side=n)
-    small_idx = SiteIndexer(dim=2, side=n - 1)
-    rows = [big_idx.index(small_idx.site(i)) for i in range(small_idx.total)]
+    small_sites = np.unravel_index(np.arange((n - 1) ** 2), (n - 1, n - 1))
+    rows = np.ravel_multi_index(small_sites, (n, n))
     assert np.allclose(big[np.ix_(rows, rows)], small, atol=1e-14)

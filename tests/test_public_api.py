@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gaussht
-from gaussht import asymptotics, cli, errors, finite, fock
+from gaussht import asymptotics, cli, errors, finite, fock, lattice, symbols
 
 # module-level second routes to class methods, and test-only oracles
 REMOVED = (
@@ -34,6 +34,8 @@ REMOVED = (
     "fock_operator",
     "szego_check",
     "apply_fn",
+    # the cube indexer, replaced by np.ravel_multi_index
+    "SiteIndexer",
     # report records that only copied class-method values for the CLI
     "FiniteReport",
     "finite_report",
@@ -41,12 +43,18 @@ REMOVED = (
     "asymptotic_report",
 )
 
-# second routes and the code that only they used, gone from their modules
+# second routes and the code that only they used, gone from their modules,
+# and the hand-built index maps that numpy replaced
 GONE = {
     asymptotics: ("szego_check", "SzegoRow"),
     finite: ("W_ONE_TOL",),
     finite.FiniteProblem: ("psi_extended",),
     errors: ("NotTraceClass", "DisplacementMismatch"),
+    lattice: ("SiteIndexer",),
+    fock: ("_compositions",),
+    fock.FockBasis: ("creation_matrix",),
+    fock.build_basis(2, 2): ("index",),
+    symbols.SymbolSpec: ("max_index",),
 }
 
 # what bench/workload.py and bench/anchors.py look up
