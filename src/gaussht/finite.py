@@ -75,11 +75,6 @@ def real_frame(m: np.ndarray) -> np.ndarray:
     return m.real + 0.5 * (m[::-1].imag - m[:, ::-1].imag)
 
 
-def site_frame(m: np.ndarray) -> np.ndarray:
-    """U M U*, the inverse of ``real_frame`` on real symmetric matrices."""
-    return 0.5 * (m + m[::-1, ::-1]) + 0.5j * (m[::-1] - m[:, ::-1])
-
-
 @dataclass(frozen=True)
 class FiniteStateData:
     """One hypothesis restricted to C_n, held by its real-frame eigensystem.
@@ -88,8 +83,7 @@ class FiniteStateData:
     noise in (-1e-9, 0) clipped to 0; ``clipped`` is the most negative value
     so clipped (0.0 when none was).  ``V`` holds the real orthonormal
     eigenvectors of U* Q U, ``logN = -Tr log(I + Q)``, and ``y`` is the
-    displacement on the sites.  The site-basis ``Q`` and ``R`` are rebuilt
-    on demand.
+    displacement on the sites.
     """
 
     n: int
@@ -98,14 +92,6 @@ class FiniteStateData:
     logN: float
     y: np.ndarray
     clipped: float
-
-    @property
-    def Q(self) -> np.ndarray:
-        return site_frame((self.V * self.q) @ self.V.T)
-
-    @property
-    def R(self) -> np.ndarray:
-        return site_frame((self.V * (self.q / (1.0 + self.q))) @ self.V.T)
 
 
 def build_state_data(

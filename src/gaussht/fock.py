@@ -13,27 +13,44 @@ map from a state and a mode to its raised state (``FockBasis.raise_idx``,
 with the creation amplitudes ``raise_amp``) is all that the operators built
 here read: the Fock operator blocks and the displacement generator.
 
-Each state diagonalises its blocks once, on first use, and keeps the
-eigensystems (``TruncatedFockState.spectra``); every quasi-power trace and
-Nussbaum-Szkola table of the state reuses them.  When the two states are
-blocked alike, both are read block by block.  When they are not (a
-block-diagonal state against a displaced, dense one), the whole basis is one
-block, over which each state's own block eigenvectors are laid out; a
-block-diagonal state is never diagonalised as one dense matrix.  Eigenpairs
-are then ordered blockwise, not by eigenvalue, so only sums over eigenpairs,
-which do not depend on that order, are meaningful.  The brute-force
-oracles for the basis and these blocks (the enumerated occupation vectors,
-Ryser permanents, the dense creation matrices and the second-quantized
-trace identity built on them, the dense Fock operator) live in
-``tests/oracles.py``.
+Every state built here is a Gaussian state, the second quantisation
+Gamma(R) of a one-particle contraction R = V diag(lam) V*, scaled by
+exp(logN), and so carries its eigensystem in closed form: block m has the
+eigenvalues exp(logN) prod_i lam_i^(m_i) over the occupation vectors of
+sector m, with 0^0 = 1, and its eigenvectors are block m of Gamma(V).  A
+displaced state W Gamma(R) W* has the same eigenvalues, with eigenvectors W
+times those of Gamma(R).  The eigenvectors are built on first use and kept
+(``TruncatedFockState.spectra``); every quasi-power trace and
+Nussbaum-Szkola table of the state reuses them, and no eigensolver runs on a
+Fock-space block of such a state.  Only states given by their matrices
+(``from_matrix``, ``from_blocks``) diagonalise their blocks.
+
+Lattice states are built in the real frame of ``gaussht.finite``: the
+one-particle unitary U = (I + iJ)/sqrt(2) there turns the restricted
+contraction into the real symmetric V diag(r) V^T, and the displacement y
+into U* y = (y - iJy)/sqrt(2).  Gamma(U) preserves every photon sector, so
+every truncated trace, Neyman-Pearson error and Nussbaum-Szkola sum is that
+of the site basis, while an undisplaced state is held in real arithmetic.
+
+When the two states are blocked alike, both are read block by block.  When
+they are not (a block-diagonal state against a displaced, dense one), the
+whole basis is one block, over which each state's own block eigenvectors
+are laid out; a block-diagonal state is never diagonalised as one dense
+matrix.  Eigenpairs are then ordered blockwise, not by eigenvalue, so only
+sums over eigenpairs, which do not depend on that order, are meaningful.
+
+The brute-force oracles for the basis and these blocks (the enumerated
+occupation vectors, Ryser permanents, the dense creation matrices and the
+second-quantized trace identity built on them, the dense Fock operator) and
+the site-basis construction of lattice states live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -104,13 +121,15 @@ def fock_operator_blocks(x: np.ndarray, basis: FockBasis) -> list[np.ndarray]:
 
     Columns are grown one photon at a time through the exact intertwining of
     the operator with creation: applying it after a creation in mode j equals
-    the x-weighted combination of creations applied after it.
+    the x-weighted combination of creations applied after it.  The blocks
+    have the dtype of x: real for a real x, complex otherwise.
     """
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x)
+    dtype = np.result_type(x, float)
     d = basis.modes
     if x.shape != (d, d):
         raise DomainError(f"matrix must be {d} x {d} for a {d}-mode basis")
-    blocks = [np.ones((1, 1), dtype=complex)]
+    blocks = [np.ones((1, 1), dtype=dtype)]
     for m in range(1, basis.cutoff + 1):
         src = basis.block_slices[m - 1]
         dst = basis.block_slices[m]
@@ -123,7 +142,7 @@ def fock_operator_blocks(x: np.ndarray, basis: FockBasis) -> list[np.ndarray]:
         # raising in one mode is injective, so each scatter below hits
         # distinct rows and needs no accumulation
         first = np.argmax(occs > 0, axis=1)
-        cur = np.zeros((size, size), dtype=complex)
+        cur = np.zeros((size, size), dtype=dtype)
         for j in range(d):
             cols = np.flatnonzero(first == j)
             if cols.size == 0:
@@ -131,13 +150,16 @@ def fock_operator_blocks(x: np.ndarray, basis: FockBasis) -> list[np.ndarray]:
             lower = np.empty(size, dtype=np.int64)
             lower[tgt_local[:, j]] = np.arange(src.stop - src.start)
             pcols = prev[:, lower[cols]]
-            grown = np.zeros((size, cols.size), dtype=complex)
+            grown = np.zeros((size, cols.size), dtype=dtype)
             for i in range(d):
                 if x[i, j] != 0:
                     grown[tgt_local[:, i]] += (x[i, j] * amp[:, i])[:, None] * pcols
             cur[:, cols] = grown / np.sqrt(occs[cols, j])
         blocks.append(cur)
     return blocks
+
+
+Spectra = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -148,12 +170,16 @@ class TruncatedFockState:
     per-photon sectors for quasi-free states, a single full-range block once
     a displacement has made the matrix dense.  ``trace_deficit`` is
     1 - trace, the probability mass lost to the truncated tail.
+    ``eigensystem`` returns the eigenpairs of the blocks as known without an
+    eigensolver, in closed form or carried through a unitary conjugation; it
+    is None for a state given only by its blocks (see ``spectra``).
     """
 
     basis: FockBasis
     blocks: tuple[np.ndarray, ...]
     slices: tuple[slice, ...]
     trace_deficit: float
+    eigensystem: Callable[[], Spectra] | None = field(repr=False, compare=False)
 
     @property
     def trace(self) -> float:
@@ -161,17 +187,28 @@ class TruncatedFockState:
 
     @property
     def matrix(self) -> np.ndarray:
-        out = np.zeros((self.basis.dimension, self.basis.dimension), dtype=complex)
+        dim = self.basis.dimension
+        out = np.zeros((dim, dim), dtype=np.result_type(*self.blocks))
         for sl, block in zip(self.slices, self.blocks):
             out[sl, sl] = block
         return out
 
     @cached_property
-    def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    def spectra(self) -> Spectra:
+        """(eigenvalues, eigenvectors as columns) of each block, on first use.
+
+        A state with an ``eigensystem`` reads it; a state given only by its
+        blocks diagonalises each one, with rounding noise in (-1e-10, 0)
+        clipped to 0.
+        """
+        if self.eigensystem is not None:
+            return self.eigensystem()
         return tuple(_block_eigh(b) for b in self.blocks)
 
     @classmethod
-    def from_blocks(cls, basis: FockBasis, blocks, slices) -> "TruncatedFockState":
+    def from_blocks(
+        cls, basis: FockBasis, blocks, slices, eigensystem: Callable[[], Spectra] | None
+    ) -> "TruncatedFockState":
         tr = sum(float(np.real(np.trace(b))) for b in blocks)
         if not 0.0 < tr <= 1.0 + 1e-9:
             raise DomainError(f"state trace {tr} outside (0, 1]")
@@ -180,11 +217,14 @@ class TruncatedFockState:
             blocks=tuple(0.5 * (b + b.conj().T) for b in blocks),
             slices=tuple(slices),
             trace_deficit=1.0 - tr,
+            eigensystem=eigensystem,
         )
 
     @classmethod
     def from_matrix(cls, basis: FockBasis, matrix: np.ndarray) -> "TruncatedFockState":
-        return cls.from_blocks(basis, [np.asarray(matrix, dtype=complex)], [slice(0, basis.dimension)])
+        return cls.from_blocks(
+            basis, [np.asarray(matrix, dtype=complex)], [slice(0, basis.dimension)], None
+        )
 
 
 def _require_same_basis(s1: TruncatedFockState, s2: TruncatedFockState) -> None:
@@ -193,14 +233,30 @@ def _require_same_basis(s1: TruncatedFockState, s2: TruncatedFockState) -> None:
 
 
 def gaussian_density(r: np.ndarray, logN: float, basis: FockBasis) -> TruncatedFockState:
-    """exp(logN) times the Fock operator of the one-particle contraction r."""
-    r = np.asarray(r, dtype=complex)
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (r + r.conj().T)))))
+    """exp(logN) times the Fock operator of the one-particle contraction r.
+
+    r is taken as its Hermitian part, which must satisfy 0 <= r < I; a real
+    r gives real blocks.  Its eigendecomposition r = V diag(lam) V* gives the
+    state's eigensystem: the values exp(logN) prod_i lam_i^(m_i) over the
+    occupation vectors m (0^0 = 1, so a vacuum mode gives exact zeros), and
+    the blocks of Gamma(V) as vectors, built on first use.
+    """
+    r = np.asarray(r)
+    r = 0.5 * (r + r.conj().T)
+    lam, v = np.linalg.eigh(r)
+    norm = float(np.max(np.abs(lam)))
     if norm >= 1.0:
         raise SpectralRadiusError(f"one-particle contraction has norm {norm} >= 1")
+    lam = psd_values(lam, clip=1e-10)
     scale = math.exp(logN)
     blocks = [scale * b for b in fock_operator_blocks(r, basis)]
-    return TruncatedFockState.from_blocks(basis, blocks, basis.block_slices)
+
+    def eigensystem() -> Spectra:
+        values = scale * np.prod(lam**basis.occupations, axis=1)
+        vectors = fock_operator_blocks(v, basis)
+        return tuple((values[sl], u) for sl, u in zip(basis.block_slices, vectors))
+
+    return TruncatedFockState.from_blocks(basis, blocks, basis.block_slices, eigensystem)
 
 
 def exponential_vector(z: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -222,18 +278,19 @@ def displacement_operator(y: np.ndarray, kappa: float, basis: FockBasis) -> np.n
     The inner product in the defining action on exponential vectors is
     conjugate linear in the first argument; a self-test against that action
     on the low-photon sectors runs here, and fails when the cutoff is too
-    small for the displacement.  The generator is one scatter of y along the
-    basis raise map, minus its adjoint; -i times it is exactly Hermitian in
-    floating point, and W = V exp(i Lambda) V* is formed from its
-    eigendecomposition, so W is unitary up to eigensolver rounding and is
-    not checked for that.
+    small for the displacement.  -i times the generator is one scatter of
+    -i sqrt(kappa) y along the basis raise map plus its adjoint, which
+    touches no entry of the scatter, so it is exactly Hermitian in floating
+    point; W = V exp(i Lambda) V* is formed from its eigendecomposition, so W
+    is unitary up to eigensolver rounding and is not checked for that.
     """
     y = np.asarray(y, dtype=complex).reshape(basis.modes)
     g, i = np.nonzero(basis.raise_idx >= 0)
-    raising = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    raising[basis.raise_idx[g, i], g] = y[i] * basis.raise_amp[g, i]
-    gen = math.sqrt(kappa) * (raising - raising.conj().T)
-    vals, vecs = np.linalg.eigh(-1j * gen)
+    herm = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    herm[basis.raise_idx[g, i], g] = -1j * math.sqrt(kappa) * y[i] * basis.raise_amp[g, i]
+    herm += herm.conj().T
+    vals, vecs = np.linalg.eigh(herm)
+    del herm
     w = (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
     low = basis.block_slices[basis.cutoff // 2].stop
@@ -253,9 +310,20 @@ def displacement_operator(y: np.ndarray, kappa: float, basis: FockBasis) -> np.n
 
 
 def displace_state(state: TruncatedFockState, w: np.ndarray) -> TruncatedFockState:
-    """Conjugate a state by a (truncated) unitary; the result is stored dense."""
-    m = w @ state.matrix @ w.conj().T
-    return TruncatedFockState.from_matrix(state.basis, m)
+    """Conjugate a state by a (truncated) unitary w; the result is stored dense.
+
+    W rho W* has the eigenvalues of rho, with eigenvectors W u: the state's
+    block eigenpairs carry over, laid out in the full basis, and the dense
+    matrix is formed from them, so it is never diagonalised.
+    """
+    spectra = state.spectra
+    values = np.concatenate([vals for vals, _ in spectra])
+    vectors = np.concatenate([w[:, sl] @ u for sl, (_, u) in zip(state.slices, spectra)], axis=1)
+    carried = ((values, vectors),)
+    m = (vectors * values) @ vectors.conj().T
+    return TruncatedFockState.from_blocks(
+        state.basis, [m], [slice(0, state.basis.dimension)], lambda: carried
+    )
 
 
 def _block_eigh(block: np.ndarray):
@@ -286,7 +354,7 @@ def _common_blocks(s1: TruncatedFockState, s2: TruncatedFockState):
             yield sl, v1, v2, np.abs(u1.conj().T @ u2) ** 2
         return
     dim = s1.basis.dimension
-    u2 = np.zeros((dim, dim), dtype=complex)
+    u2 = np.zeros((dim, dim), dtype=np.result_type(*(u for _, u in s2.spectra)))
     for sl, (_, u) in zip(s2.slices, s2.spectra):
         u2[sl, sl] = u
     overlap = np.empty((dim, dim))
@@ -361,17 +429,21 @@ def lattice_state(
     dense_cap: int = DENSE_CAP,
     basis_cap: int = BASIS_CAP,
 ) -> TruncatedFockState:
-    """The actual density matrix of a Gaussian state restricted to C_n."""
+    """The actual density matrix of a Gaussian state restricted to C_n.
+
+    Built in the real frame (see the module docstring): from the real
+    contraction V diag(r) V^T and the displacement (y - iJy)/sqrt(2).
+    """
     data = build_state_data(state, n, dense_cap=dense_cap)
     modes = n**state.symbol.dim
     if basis is None:
         basis = build_basis(modes, cutoff, cap=basis_cap)
     elif basis.modes != modes:
         raise BasisMismatch(f"basis has {basis.modes} modes, cube needs {modes}")
-    rho = gaussian_density(data.R, data.logN, basis)
+    rho = gaussian_density((data.V * (data.q / (1.0 + data.q))) @ data.V.T, data.logN, basis)
     if np.any(data.y != 0):
-        w = displacement_operator(data.y, state.kappa, basis)
-        rho = displace_state(rho, w)
+        y = (data.y - 1j * data.y[::-1]) / math.sqrt(2.0)
+        rho = displace_state(rho, displacement_operator(y, state.kappa, basis))
     return rho
 
 

@@ -6,10 +6,10 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from gaussht import eigh
+from gaussht import build_basis, build_state_data, displacement_operator, eigh
 from gaussht.calculus import psd_values, support_power
 from gaussht.errors import DomainError, NonFiniteIntegrand, SpectralRadiusError, ValidationError
-from gaussht.fock import fock_operator_blocks
+from gaussht.fock import TruncatedFockState, fock_operator_blocks
 from gaussht.symbols import symbol_values
 
 
@@ -47,6 +47,36 @@ def fock_operator(x, basis):
     for sl, block in zip(basis.block_slices, fock_operator_blocks(x, basis)):
         out[sl, sl] = block
     return out
+
+
+def site_frame(m):
+    """U M U*, the inverse of ``finite.real_frame`` on real symmetric matrices."""
+    return 0.5 * (m + m[::-1, ::-1]) + 0.5j * (m[::-1] - m[:, ::-1])
+
+
+def site_Q(data):
+    """The restricted symbol matrix Q of a ``FiniteStateData``, in the site basis."""
+    return site_frame((data.V * data.q) @ data.V.T)
+
+
+def site_R(data):
+    """The contraction R = Q (Q + I)^-1 of a ``FiniteStateData``, in the site basis."""
+    return site_frame((data.V * (data.q / (1.0 + data.q))) @ data.V.T)
+
+
+def site_lattice_state(state, n, cutoff, basis=None):
+    """``fock.lattice_state`` built in the site basis: the Fock blocks of the
+    complex R, displaced by the site displacement y, and given by its
+    matrices alone, so that each block is diagonalised by an eigensolver."""
+    data = build_state_data(state, n)
+    if basis is None:
+        basis = build_basis(n**state.symbol.dim, cutoff)
+    blocks = [math.exp(data.logN) * b for b in fock_operator_blocks(site_R(data), basis)]
+    rho = TruncatedFockState.from_blocks(basis, blocks, basis.block_slices, None)
+    if np.any(data.y != 0):
+        w = displacement_operator(data.y, state.kappa, basis)
+        rho = TruncatedFockState.from_matrix(basis, w @ rho.matrix @ w.conj().T)
+    return rho
 
 
 def apply_fn(es, f):

@@ -208,6 +208,25 @@ def test_run_verify_passes(tmp_path, capsys):
     assert report["scalars"]["failed"] == 0
 
 
+def test_verify_passes_on_displaced_vacuum(tmp_path, capsys):
+    """A displaced vacuum is pure: its spectrum in the Fock check is exactly
+    one 1 and zeros, with no eigensolver noise raised to the power t."""
+    config = parse_config(
+        config_text(
+            command="verify",
+            q1={"0": 0},
+            q2={"0": 1, "1": 0.5, "-1": 0.5},
+            y1=[{"site": [0], "re": 0.3, "im": 0.1}],
+            y2=[{"site": [0], "re": -0.2, "im": 0.2}],
+            fock_cutoff=16,
+        )
+    )
+    assert run(config, out_dir=tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "check finite_vs_fock: PASS" in out
+    assert "FAIL" not in out
+
+
 def test_byte_identical_reruns(tmp_path):
     text = config_text(t_grid=11, r_list=[0.05], a_list=[0.0, 0.02])
     first = tmp_path / "a"

@@ -14,10 +14,11 @@ from gaussht import (
     restrict_symbol,
 )
 from gaussht.cli import parse_config, run
-from gaussht.finite import real_frame, site_frame
+from gaussht.finite import real_frame
 from gaussht.errors import NegativeParameter, StrictPositivityRequired
 
 from conftest import DenseFiniteOracle, make_problem
+from oracles import site_frame, site_Q, site_R
 
 
 def bernoulli_s2(a, b):
@@ -27,23 +28,23 @@ def bernoulli_s2(a, b):
 def test_build_state_data_constant():
     prob = make_problem(1.0, 2.0)
     data = build_state_data(prob.state1, 3)
-    assert np.allclose(data.Q, np.eye(3))
-    assert np.allclose(data.R, 0.5 * np.eye(3))
+    assert np.allclose(site_Q(data), np.eye(3))
+    assert np.allclose(site_R(data), 0.5 * np.eye(3))
     assert data.logN == pytest.approx(-3 * math.log(2), abs=1e-12)
 
 
 def test_build_state_data_cosine():
     prob = make_problem({0: 1.5, 1: 0.5, -1: 0.5}, 2.0)
     data = build_state_data(prob.state1, 2)
-    assert np.allclose(np.linalg.eigvalsh(data.R), [0.5, 2 / 3], atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(site_R(data)), [0.5, 2 / 3], atol=1e-12)
     # R is a function of Q, so they commute
-    assert np.max(np.abs(data.R @ data.Q - data.Q @ data.R)) < 1e-9
+    assert np.max(np.abs(site_R(data) @ site_Q(data) - site_Q(data) @ site_R(data))) < 1e-9
 
 
 def test_build_state_data_vacuum():
     prob = make_problem({}, 1.0)
     data = build_state_data(prob.state1, 2)
-    assert np.allclose(data.R, 0.0)
+    assert np.allclose(site_R(data), 0.0)
     assert data.logN == 0.0
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussht import (
     FiniteProblem,
@@ -16,7 +18,13 @@ from gaussht import (
     quasi_power_trace,
 )
 from gaussht import fock
-from gaussht.errors import BasisMismatch, SizeOverflow, SpectralRadiusError, UnitarityDefect
+from gaussht.errors import (
+    BasisMismatch,
+    DomainError,
+    SizeOverflow,
+    SpectralRadiusError,
+    UnitarityDefect,
+)
 from gaussht.fock import TruncatedFockState
 
 from conftest import (
@@ -31,6 +39,7 @@ from oracles import (
     occupation_sectors,
     permanent_repeated,
     second_quantized_trace_check,
+    site_lattice_state,
 )
 
 
@@ -133,6 +142,8 @@ def test_gaussian_density_vacuum_and_radius():
     assert np.allclose(vac.matrix, expected)
     with pytest.raises(SpectralRadiusError):
         gaussian_density(np.eye(2), 0.0, basis)
+    with pytest.raises(DomainError):
+        gaussian_density(-0.5 * np.eye(2), 0.0, basis)
 
 
 def test_gaussian_density_two_mode_trace():
@@ -386,6 +397,9 @@ def chain_states(y1=None, y2=None):
 
 
 def test_each_state_diagonalised_once(monkeypatch):
+    """Lattice states carry their eigensystems in closed form, so no block
+    eigensolver runs for them, blocked alike or not; a state given by its
+    matrices diagonalises each of its blocks once, on first use."""
     sizes = []
     block_eigh = fock._block_eigh
 
@@ -404,11 +418,21 @@ def test_each_state_diagonalised_once(monkeypatch):
 
     s1, s2 = chain_states()
     blocks = sorted(sl.stop - sl.start for sl in s1.basis.block_slices)
-    assert run(s1, s2) == sorted(blocks + blocks)
-    # mixed pair: state 1 is solved block by block, never as the dense s1.matrix
+    assert run(s1, s2) == []
+    # mixed pair: a block-diagonal state against a dense, displaced one
     s1, s2 = chain_states(y2={0: 0.3 + 0.2j})
     assert len(s1.slices) == len(blocks) and len(s2.slices) == 1
-    assert run(s1, s2) == sorted(blocks + [s1.basis.dimension])
+    assert run(s1, s2) == []
+    s1, s2 = chain_states(y1={1: 0.2j}, y2={0: 0.3 + 0.2j})
+    assert len(s1.slices) == len(s2.slices) == 1
+    assert run(s1, s2) == []
+    # the same matrices given directly: one eigensolve per block
+    given1 = TruncatedFockState.from_matrix(s1.basis, s1.matrix)
+    assert run(given1, s2) == [s1.basis.dimension]
+    s1, s2 = chain_states()
+    given2 = TruncatedFockState.from_blocks(s2.basis, s2.blocks, s2.slices, None)
+    assert run(s1, given2) == blocks
+    assert run(s1, given2) == []
 
 
 @pytest.mark.parametrize(
@@ -424,3 +448,104 @@ def test_quasi_power_trace_matches_dense_oracle(y1, y2):
     for t in (0.0, 0.3, 0.7, 1.0):
         assert quasi_power_trace(s1, s2, t) == pytest.approx(oracle.quasi_power_trace(t), abs=1e-12)
         assert hellinger_sum(p1, p2, t) == pytest.approx(hellinger_sum(q1, q2, t), abs=1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [16, 24, 32])
+def test_displaced_vacuum_matches_closed_form(cutoff):
+    """A displaced vacuum is pure; its carried eigenvalues off the coherent
+    vector are exact zeros, so no rounding noise is raised to the power t."""
+    prob = make_problem(
+        {}, {0: 1.0, 1: 0.5, -1: 0.5}, y1={0: 0.3 + 0.1j}, y2={0: -0.2 + 0.2j}
+    )
+    fp = FiniteProblem(prob, 1)
+    s1 = lattice_state(prob.state1, 1, cutoff)
+    s2 = lattice_state(prob.state2, 1, cutoff)
+    assert np.count_nonzero(s1.spectra[0][0]) == 1
+    for t in (0.25, 0.5, 0.75):
+        assert abs(math.exp(fp.psi(t)) - quasi_power_trace(s1, s2, t)) <= 1e-12
+
+
+SITE_ORACLE_PAIRS = {
+    "dim1-n2": (1, 2, 12, {0: 1.2, 1: 0.3 + 0.25j}, {0: 1.8, 1: -0.2 + 0.4j, 2: 0.1j}),
+    "dim1-n3": (1, 3, 8, {0: 1.2, 1: 0.3 + 0.25j}, {0: 1.8, 1: -0.2 + 0.4j, 2: 0.1j}),
+    "dim2-n2": (
+        2, 2, 6, {(0, 0): 1.2, (1, 0): 0.2 + 0.15j, (0, 1): 0.1 - 0.2j},
+        {(0, 0): 1.6, (1, 1): 0.3 + 0.25j, (1, -1): -0.1j},
+    ),
+}
+SITE_ORACLE_SHIFTS = {
+    "undisplaced": (None, None),
+    "one-displaced": (None, 0.3 + 0.2j),
+    "both-displaced": (-0.1 + 0.25j, 0.3 + 0.2j),
+}
+
+
+@pytest.mark.parametrize("shift", SITE_ORACLE_SHIFTS)
+@pytest.mark.parametrize("pair", SITE_ORACLE_PAIRS)
+def test_real_frame_matches_site_basis_oracle(pair, shift):
+    """The real-frame states with carried spectra give the traces, the optimal
+    test and the Nussbaum-Szkola sums of the site-basis states, which are
+    diagonalised by an eigensolver."""
+    dim, n, cutoff, c1, c2 = SITE_ORACLE_PAIRS[pair]
+    origin, last = (0,) * dim, (n - 1,) * dim
+    y1, y2 = SITE_ORACLE_SHIFTS[shift]
+    prob = make_problem(
+        c1, c2, dim=dim,
+        y1=None if y1 is None else {last: y1},
+        y2=None if y2 is None else {origin: y2},
+    )
+    basis = build_basis(n**dim, cutoff)
+    frame = [lattice_state(s, n, cutoff, basis=basis) for s in (prob.state1, prob.state2)]
+    site = [site_lattice_state(s, n, cutoff, basis=basis) for s in (prob.state1, prob.state2)]
+    ts = (0.1, 0.3, 0.5, 0.7, 0.9)
+    for t in ts:
+        assert quasi_power_trace(*frame, t) == pytest.approx(quasi_power_trace(*site, t), abs=1e-12)
+    got, want = neyman_pearson(*frame, 0.0), neyman_pearson(*site, 0.0)
+    assert got.alpha == pytest.approx(want.alpha, abs=1e-12)
+    assert got.beta == pytest.approx(want.beta, abs=1e-12)
+    (p1, p2), (q1, q2) = nussbaum_szkola(*frame), nussbaum_szkola(*site)
+    for t in ts:
+        assert hellinger_sum(p1, p2, t) == pytest.approx(hellinger_sum(q1, q2, t), abs=1e-12)
+
+
+def random_unitary(rng, size, real):
+    m = rng.standard_normal((size, size))
+    if not real:
+        m = m + 1j * rng.standard_normal((size, size))
+    q, r = np.linalg.qr(m)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def assert_spectra_rebuild_blocks(state):
+    for block, (values, vectors) in zip(state.blocks, state.spectra):
+        rebuilt = (vectors * values) @ vectors.conj().T
+        assert np.abs(rebuilt - block).max() <= 1e-13 * np.abs(block).max()
+
+
+# nonzero eigenvalues stay above 1e-6, so that no block entry at cutoff 8
+# reaches the subnormal range, where it keeps no relative precision
+EIGENVALUE = st.one_of(st.just(0.0), st.floats(1e-6, 0.95))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    lam=st.integers(1, 3).flatmap(lambda d: st.lists(EIGENVALUE, min_size=d, max_size=d)),
+    cutoff=st.integers(0, 8),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_carried_eigenpairs_rebuild_blocks(lam, cutoff, real, seed):
+    """The closed-form eigenpairs of a Gaussian state rebuild every stored
+    block, and a unitary conjugation, whose dense block is formed from the
+    carried eigenpairs, gives W rho W*."""
+    rng = np.random.default_rng(seed)
+    basis = build_basis(len(lam), cutoff)
+    v = random_unitary(rng, len(lam), real)
+    r = (v * np.array(lam)) @ v.conj().T
+    state = gaussian_density(r, float(np.sum(np.log1p(-np.array(lam)))), basis)
+    assert_spectra_rebuild_blocks(state)
+    w = random_unitary(rng, basis.dimension, real)
+    moved = displace_state(state, w)
+    assert_spectra_rebuild_blocks(moved)
+    direct = w @ state.matrix @ w.conj().T
+    assert np.abs(moved.blocks[0] - direct).max() <= 1e-13 * np.abs(direct).max()

@@ -44,10 +44,12 @@ REMOVED = (
 )
 
 # second routes and the code that only they used, gone from their modules,
-# and the hand-built index maps that numpy replaced
+# the hand-built index maps that numpy replaced, and the site-basis matrices
+# that only the tests read
 GONE = {
     asymptotics: ("szego_check", "SzegoRow"),
-    finite: ("W_ONE_TOL",),
+    finite: ("W_ONE_TOL", "site_frame"),
+    finite.FiniteStateData: ("Q", "R"),
     finite.FiniteProblem: ("psi_extended",),
     errors: ("NotTraceClass", "DisplacementMismatch"),
     lattice: ("SiteIndexer",),
