@@ -159,15 +159,23 @@ class FiniteProblem:
                 return 1.0
             quad = np.sum(np.abs(self._z) ** 2 / (2.0 * self.data1.q + 2.0))
         else:
+            # Cholesky of [[B, Z], [Z^T, Z^T Z + I]], Z = [Re z, Im z]: its last
+            # two rows hold (L_B^-1 Z)^T, and it is positive definite since B >= I
+            size = len(self._c)
             s = np.sqrt(_bracket_weights(self._r2, 1.0 - t))[:, None] * self._c
-            bracket = s.T @ s
-            bracket.flat[:: len(bracket) + 1] += _bracket_weights(self._r1, t)
+            z = np.stack([self._z.real, self._z.imag], axis=1)
+            bordered = np.empty((size + 2, size + 2))
+            bordered[:size, :size] = s.T @ s
+            diag = np.arange(size)
+            bordered[diag, diag] += _bracket_weights(self._r1, t)
+            bordered[:size, size:] = z
+            bordered[size:, :size] = z.T
+            bordered[size:, size:] = z.T @ z + np.eye(2)
             try:
-                low = np.linalg.cholesky(bracket)
+                low = np.linalg.cholesky(bordered)
             except np.linalg.LinAlgError:
                 raise DomainError("bracket matrix is singular") from None
-            w = np.linalg.solve(low, np.stack([self._z.real, self._z.imag], axis=1))
-            quad = np.sum(w * w)
+            quad = np.sum(low[size:, :size] ** 2)
         return float(np.exp(-2.0 * self.kappa * quad))
 
     def _log_trace_term(self, t: float) -> float:

@@ -11,7 +11,15 @@ The basis grows one total-photon sector at a time: every state of sector
 m - 1 is raised in every mode, and the distinct results are sector m.  The
 map from a state and a mode to its raised state (``FockBasis.raise_idx``,
 with the creation amplitudes ``raise_amp``) is all that the operators built
-here read: the Fock operator blocks and the displacement generator.
+here read: the Fock operator blocks and the chains of the displacement.
+
+A Weyl displacement of s is a rotated one-mode displacement: for a
+one-particle unitary u with u s = c e_1 it is Gamma(u)* W(c e_1) Gamma(u),
+exactly on the truncation, since Gamma(u) preserves every photon sector.
+Along mode 1 the truncated W(c e_1) is a direct sum of chains at most
+cutoff + 1 long, so a displacement costs at most cutoff + 1 small
+eigensolves and sector-by-sector products with the blocks of Gamma(u); no
+eigensolver runs on the Fock-space generator (``displacement_operator``).
 
 Every state built here is a Gaussian state, the second quantisation
 Gamma(R) of a one-particle contraction R = V diag(lam) V*, scaled by
@@ -41,8 +49,9 @@ sums over eigenpairs, which do not depend on that order, are meaningful.
 
 The brute-force oracles for the basis and these blocks (the enumerated
 occupation vectors, Ryser permanents, the dense creation matrices and the
-second-quantized trace identity built on them, the dense Fock operator) and
-the site-basis construction of lattice states live in ``tests/oracles.py``.
+second-quantized trace identity built on them, the dense Fock operator), the
+displacement from one eigendecomposition of the dense generator, and the
+site-basis construction of lattice states live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -232,6 +241,25 @@ def _require_same_basis(s1: TruncatedFockState, s2: TruncatedFockState) -> None:
         raise BasisMismatch("states live on different truncated bases")
 
 
+def _quasi_free(r: np.ndarray, logN: float, basis: FockBasis):
+    """(Hermitian part of r, eigensystem of exp(logN) Gamma(r)); see gaussian_density."""
+    r = np.asarray(r)
+    r = 0.5 * (r + r.conj().T)
+    lam, v = np.linalg.eigh(r)
+    norm = float(np.max(np.abs(lam)))
+    if norm >= 1.0:
+        raise SpectralRadiusError(f"one-particle contraction has norm {norm} >= 1")
+    lam = psd_values(lam, clip=1e-10)
+    scale = math.exp(logN)
+
+    def eigensystem() -> Spectra:
+        values = scale * np.prod(lam**basis.occupations, axis=1)
+        vectors = fock_operator_blocks(v, basis)
+        return tuple((values[sl], u) for sl, u in zip(basis.block_slices, vectors))
+
+    return r, eigensystem
+
+
 def gaussian_density(r: np.ndarray, logN: float, basis: FockBasis) -> TruncatedFockState:
     """exp(logN) times the Fock operator of the one-particle contraction r.
 
@@ -241,21 +269,8 @@ def gaussian_density(r: np.ndarray, logN: float, basis: FockBasis) -> TruncatedF
     occupation vectors m (0^0 = 1, so a vacuum mode gives exact zeros), and
     the blocks of Gamma(V) as vectors, built on first use.
     """
-    r = np.asarray(r)
-    r = 0.5 * (r + r.conj().T)
-    lam, v = np.linalg.eigh(r)
-    norm = float(np.max(np.abs(lam)))
-    if norm >= 1.0:
-        raise SpectralRadiusError(f"one-particle contraction has norm {norm} >= 1")
-    lam = psd_values(lam, clip=1e-10)
-    scale = math.exp(logN)
-    blocks = [scale * b for b in fock_operator_blocks(r, basis)]
-
-    def eigensystem() -> Spectra:
-        values = scale * np.prod(lam**basis.occupations, axis=1)
-        vectors = fock_operator_blocks(v, basis)
-        return tuple((values[sl], u) for sl, u in zip(basis.block_slices, vectors))
-
+    r, eigensystem = _quasi_free(r, logN, basis)
+    blocks = [math.exp(logN) * b for b in fock_operator_blocks(r, basis)]
     return TruncatedFockState.from_blocks(basis, blocks, basis.block_slices, eigensystem)
 
 
@@ -278,20 +293,46 @@ def displacement_operator(y: np.ndarray, kappa: float, basis: FockBasis) -> np.n
     The inner product in the defining action on exponential vectors is
     conjugate linear in the first argument; a self-test against that action
     on the low-photon sectors runs here, and fails when the cutoff is too
-    small for the displacement.  -i times the generator is one scatter of
-    -i sqrt(kappa) y along the basis raise map plus its adjoint, which
-    touches no entry of the scatter, so it is exactly Hermitian in floating
-    point; W = V exp(i Lambda) V* is formed from its eigendecomposition, so W
-    is unitary up to eigensolver rounding and is not checked for that.
+    small for the displacement.
+
+    W is a rotated one-mode displacement.  With s = sqrt(kappa) y and a
+    one-particle unitary u taking s to c e_1, the generator of s is
+    Gamma(u)* G(c e_1) Gamma(u).  Gamma(u) preserves every photon sector, so
+    it commutes with the truncation, and the identity holds exactly on the
+    truncated space, as does its exponential.  Along mode 1 the truncated
+    G(c e_1) splits into independent chains, one per occupation of the other
+    modes; a chain of length L (at most cutoff + 1) has the exponential of
+    one L x L eigendecomposition, which all chains of that length share.
+    W = Gamma(u)* E Gamma(u) is then assembled sector by sector from the
+    blocks of Gamma(u), so no eigensolver runs on a Fock-space matrix.  W is
+    unitary up to eigensolver rounding and is not checked for that.
     """
     y = np.asarray(y, dtype=complex).reshape(basis.modes)
-    g, i = np.nonzero(basis.raise_idx >= 0)
-    herm = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    herm[basis.raise_idx[g, i], g] = -1j * math.sqrt(kappa) * y[i] * basis.raise_amp[g, i]
-    herm += herm.conj().T
-    vals, vecs = np.linalg.eigh(herm)
-    del herm
-    w = (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    s = math.sqrt(kappa) * y
+    q, _ = np.linalg.qr(np.column_stack([s, np.eye(basis.modes)]))
+    u = q.conj().T
+    c = (u @ s)[0]
+    gamma = fock_operator_blocks(u, basis)
+    rotated = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for sl, block in zip(basis.block_slices, gamma):
+        rotated[sl, sl] = block
+    # E Gamma(u), one chain length at a time: a chain of length L starts at
+    # m_1 = 0 in sector cutoff + 1 - L and is raised in mode 1 to the top
+    moved = np.empty_like(rotated)
+    for length in range(1, basis.cutoff + 2):
+        sector = basis.block_slices[basis.cutoff + 1 - length]
+        first = sector.start + np.flatnonzero(basis.occupations[sector, 0] == 0)
+        chains = np.empty((first.size, length), dtype=np.int64)
+        chains[:, 0] = first
+        for k in range(1, length):
+            chains[:, k] = basis.raise_idx[chains[:, k - 1], 0]
+        amp = -1j * c * np.sqrt(np.arange(1.0, length))
+        vals, vecs = np.linalg.eigh(np.diag(amp, -1) + np.diag(amp.conj(), 1))
+        moved[chains] = ((vecs * np.exp(1j * vals)) @ vecs.conj().T) @ rotated[chains]
+    del rotated
+    w = np.empty_like(moved)
+    for sl, block in zip(basis.block_slices, gamma):
+        w[sl] = block.conj().T @ moved[sl]
 
     low = basis.block_slices[basis.cutoff // 2].stop
     for z in (np.zeros(basis.modes), np.full(basis.modes, 0.15 - 0.1j)):
@@ -316,14 +357,15 @@ def displace_state(state: TruncatedFockState, w: np.ndarray) -> TruncatedFockSta
     block eigenpairs carry over, laid out in the full basis, and the dense
     matrix is formed from them, so it is never diagonalised.
     """
-    spectra = state.spectra
+    return _conjugated(state.basis, state.slices, state.spectra, w)
+
+
+def _conjugated(basis: FockBasis, slices, spectra: Spectra, w: np.ndarray) -> TruncatedFockState:
     values = np.concatenate([vals for vals, _ in spectra])
-    vectors = np.concatenate([w[:, sl] @ u for sl, (_, u) in zip(state.slices, spectra)], axis=1)
+    vectors = np.concatenate([w[:, sl] @ u for sl, (_, u) in zip(slices, spectra)], axis=1)
     carried = ((values, vectors),)
     m = (vectors * values) @ vectors.conj().T
-    return TruncatedFockState.from_blocks(
-        state.basis, [m], [slice(0, state.basis.dimension)], lambda: carried
-    )
+    return TruncatedFockState.from_blocks(basis, [m], [slice(0, basis.dimension)], lambda: carried)
 
 
 def _block_eigh(block: np.ndarray):
@@ -440,11 +482,14 @@ def lattice_state(
         basis = build_basis(modes, cutoff, cap=basis_cap)
     elif basis.modes != modes:
         raise BasisMismatch(f"basis has {basis.modes} modes, cube needs {modes}")
-    rho = gaussian_density((data.V * (data.q / (1.0 + data.q))) @ data.V.T, data.logN, basis)
-    if np.any(data.y != 0):
-        y = (data.y - 1j * data.y[::-1]) / math.sqrt(2.0)
-        rho = displace_state(rho, displacement_operator(y, state.kappa, basis))
-    return rho
+    r = (data.V * (data.q / (1.0 + data.q))) @ data.V.T
+    if not np.any(data.y != 0):
+        return gaussian_density(r, data.logN, basis)
+    # a displaced state reads only the eigensystem of the undisplaced one
+    _, eigensystem = _quasi_free(r, data.logN, basis)
+    y = (data.y - 1j * data.y[::-1]) / math.sqrt(2.0)
+    w = displacement_operator(y, state.kappa, basis)
+    return _conjugated(basis, basis.block_slices, eigensystem(), w)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,16 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from gaussht import build_basis, build_state_data, displacement_operator, eigh
+from gaussht import build_basis, build_state_data, eigh
 from gaussht.calculus import psd_values, support_power
-from gaussht.errors import DomainError, NonFiniteIntegrand, SpectralRadiusError, ValidationError
-from gaussht.fock import TruncatedFockState, fock_operator_blocks
+from gaussht.errors import (
+    DomainError,
+    NonFiniteIntegrand,
+    SpectralRadiusError,
+    UnitarityDefect,
+    ValidationError,
+)
+from gaussht.fock import TruncatedFockState, exponential_vector, fock_operator_blocks
 from gaussht.symbols import symbol_values
 
 
@@ -49,6 +55,43 @@ def fock_operator(x, basis):
     return out
 
 
+def displacement_operator_dense(y, kappa, basis):
+    """Truncated Weyl unitary exp(sqrt(kappa) sum_i (y_i a_i^+ - conj(y_i) a_i)).
+
+    The inner product in the defining action on exponential vectors is
+    conjugate linear in the first argument; a self-test against that action
+    on the low-photon sectors runs here, and fails when the cutoff is too
+    small for the displacement.  -i times the generator is one scatter of
+    -i sqrt(kappa) y along the basis raise map plus its adjoint, which
+    touches no entry of the scatter, so it is exactly Hermitian in floating
+    point; W = V exp(i Lambda) V* is formed from its eigendecomposition, so W
+    is unitary up to eigensolver rounding and is not checked for that.
+    """
+    y = np.asarray(y, dtype=complex).reshape(basis.modes)
+    g, i = np.nonzero(basis.raise_idx >= 0)
+    herm = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    herm[basis.raise_idx[g, i], g] = -1j * math.sqrt(kappa) * y[i] * basis.raise_amp[g, i]
+    herm += herm.conj().T
+    vals, vecs = np.linalg.eigh(herm)
+    del herm
+    w = (vecs * np.exp(1j * vals)) @ vecs.conj().T
+
+    low = basis.block_slices[basis.cutoff // 2].stop
+    for z in (np.zeros(basis.modes), np.full(basis.modes, 0.15 - 0.1j)):
+        lhs = w @ exponential_vector(z, basis)
+        phase = np.exp(
+            -0.5 * kappa * float(np.vdot(y, y).real)
+            - math.sqrt(kappa) * np.vdot(y, z)
+        )
+        rhs = phase * exponential_vector(z + math.sqrt(kappa) * y, basis)
+        err = float(np.max(np.abs(lhs[:low] - rhs[:low])))
+        if err > 1e-6:
+            raise UnitarityDefect(
+                f"displacement convention self-test failed (error {err:.3e})"
+            )
+    return w
+
+
 def site_frame(m):
     """U M U*, the inverse of ``finite.real_frame`` on real symmetric matrices."""
     return 0.5 * (m + m[::-1, ::-1]) + 0.5j * (m[::-1] - m[:, ::-1])
@@ -66,15 +109,16 @@ def site_R(data):
 
 def site_lattice_state(state, n, cutoff, basis=None):
     """``fock.lattice_state`` built in the site basis: the Fock blocks of the
-    complex R, displaced by the site displacement y, and given by its
-    matrices alone, so that each block is diagonalised by an eigensolver."""
+    complex R, displaced by the site displacement y through the dense
+    generator (``displacement_operator_dense``), and given by its matrices
+    alone, so that each block is diagonalised by an eigensolver."""
     data = build_state_data(state, n)
     if basis is None:
         basis = build_basis(n**state.symbol.dim, cutoff)
     blocks = [math.exp(data.logN) * b for b in fock_operator_blocks(site_R(data), basis)]
     rho = TruncatedFockState.from_blocks(basis, blocks, basis.block_slices, None)
     if np.any(data.y != 0):
-        w = displacement_operator(data.y, state.kappa, basis)
+        w = displacement_operator_dense(data.y, state.kappa, basis)
         rho = TruncatedFockState.from_matrix(basis, w @ rho.matrix @ w.conj().T)
     return rho
 

@@ -35,6 +35,7 @@ from conftest import (
     random_psd_contraction,
 )
 from oracles import (
+    displacement_operator_dense,
     fock_operator,
     occupation_sectors,
     permanent_repeated,
@@ -250,6 +251,85 @@ def test_displacement_covariance():
         assert quasi_power_trace(moved1, moved2, t) == pytest.approx(
             quasi_power_trace(s1, s2, t), abs=1e-8
         )
+
+
+# |sqrt(kappa) y| at each cutoff 0..8, a margin below the largest at which the
+# convention self-test passes; above that the cutoff is too small for y
+SELF_TEST_NORM = (1e-6, 3e-3, 8e-3, 0.1, 0.2, 0.4, 0.5, 0.7, 0.8)
+
+
+def oracle_displacements(modes, norm):
+    """y along e_1 and along e_d, with complex phases, the same with a zero
+    component, and of norm 1e-12; sqrt(kappa) |y| <= norm for kappa = 0.5."""
+    phases = np.exp(1j * np.arange(1, modes + 1)) / math.sqrt(modes)
+    gap = phases.copy()
+    gap[modes // 2] = 0.0  # y = 0 for one mode
+    along = np.eye(modes, dtype=complex)
+    directions = [along[0], 1j * along[-1], phases, gap]
+    return [norm * math.sqrt(2.0) * v for v in directions] + [1e-12 * phases]
+
+
+def assert_matches_dense_oracle(y, kappa, basis):
+    got = displacement_operator(y, kappa, basis)
+    assert np.abs(got - displacement_operator_dense(y, kappa, basis)).max() <= 1e-12
+    return got
+
+
+@pytest.mark.parametrize(
+    "modes, cutoff",
+    [(d, m) for d in (1, 2, 3, 4) for m in (0, 1, 5, 12)] + [(3, 20)],
+)
+def test_displacement_matches_dense_oracle(modes, cutoff):
+    """The chain construction gives the W of the dense generator's
+    eigendecomposition.  At basis sizes above 1000 one y with complex phases
+    and a zero component is compared, to bound the oracle's time."""
+    basis = build_basis(modes, cutoff)
+    ys = oracle_displacements(modes, SELF_TEST_NORM[min(cutoff, 5)])
+    for y in ys[3:4] if basis.dimension > 1000 else ys:
+        assert_matches_dense_oracle(y, 0.5, basis)
+
+
+# one complex component: zero, or of modulus up to 1, with a phase
+COMPONENT = st.one_of(
+    st.just(0j),
+    st.builds(lambda a, p: a * np.exp(1j * p), st.floats(1e-3, 1.0), st.floats(0.0, 2 * math.pi)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    components=st.integers(1, 3).flatmap(lambda d: st.lists(COMPONENT, min_size=d, max_size=d)),
+    cutoff=st.integers(0, 8),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_displacement_matches_dense_oracle_property(components, cutoff, fraction):
+    """W matches the dense oracle and is unitary, for y up to the largest
+    norm at which the convention self-test passes at its cutoff."""
+    y = np.array(components)
+    norm = float(np.linalg.norm(y))
+    if norm > 0.0:
+        y *= fraction * SELF_TEST_NORM[cutoff] * math.sqrt(2.0) / norm
+    basis = build_basis(len(y), cutoff)
+    w = assert_matches_dense_oracle(y, 0.5, basis)
+    assert np.abs(w @ w.conj().T - np.eye(basis.dimension)).max() <= 1e-12
+
+
+def test_displaced_set_up_runs_no_fock_space_eigensolve(monkeypatch):
+    """Setting up a displaced state on a 455-state basis (3 modes, cutoff 12)
+    diagonalises nothing larger than cutoff + 1: the one-particle matrices and
+    the one-mode chains of the displacement, not the Fock-space generator."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(m, *args, **kwargs):
+        sizes.append(len(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    prob = make_problem(1.0, {0: 1.0, 1: 0.3, -1: 0.3}, y2={0: 0.3 + 0.2j, 2: -0.1j})
+    state = lattice_state(prob.state2, 3, 12)
+    assert state.basis.dimension == 455 and len(state.slices) == 1
+    assert sizes and max(sizes) <= 13
 
 
 def test_nussbaum_szkola_diagonal():
