@@ -47,6 +47,15 @@ are laid out; a block-diagonal state is never diagonalised as one dense
 matrix.  Eigenpairs are then ordered blockwise, not by eigenvalue, so only
 sums over eigenpairs, which do not depend on that order, are meaningful.
 
+The eigenvector overlap |U1* U2|^2 of the shared blocks depends only on the
+pair, so it is computed once per ordered pair (s1, s2) and kept on s1, keyed
+weakly by s2: every quasi-power trace and Nussbaum-Szkola table of the pair
+reads it, the entry goes when s2 is collected, and the whole cache with s1.
+States therefore compare and hash by identity.  The Nussbaum-Szkola tables
+hold the shared blocks only, as flat arrays: at 3 modes and cutoff 20 an
+undisplaced pair gives 256 795 entries per table where the dense D x D
+tables held 1771^2 = 3 136 441.
+
 The brute-force oracles for the basis and these blocks (the enumerated
 occupation vectors, Ryser permanents, the dense creation matrices and the
 second-quantized trace identity built on them, the dense Fock operator), the
@@ -57,6 +66,7 @@ site-basis construction of lattice states live in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -171,7 +181,7 @@ def fock_operator_blocks(x: np.ndarray, basis: FockBasis) -> list[np.ndarray]:
 Spectra = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedFockState:
     """Density matrix on the truncated space, stored per index block.
 
@@ -182,6 +192,7 @@ class TruncatedFockState:
     ``eigensystem`` returns the eigenpairs of the blocks as known without an
     eigensolver, in closed form or carried through a unitary conjugation; it
     is None for a state given only by its blocks (see ``spectra``).
+    States compare and hash by identity.
     """
 
     basis: FockBasis
@@ -213,6 +224,13 @@ class TruncatedFockState:
         if self.eigensystem is not None:
             return self.eigensystem()
         return tuple(_block_eigh(b) for b in self.blocks)
+
+    @cached_property
+    def _overlaps(self) -> weakref.WeakKeyDictionary:
+        # partner state -> its ``_common_blocks`` with this state; the blocks
+        # hold arrays only, so an entry dies with the partner and the whole
+        # cache with this state
+        return weakref.WeakKeyDictionary()
 
     @classmethod
     def from_blocks(
@@ -382,19 +400,35 @@ def _power_or_support(values: np.ndarray, exponent: float) -> np.ndarray:
     return support_power(values, exponent)
 
 
-def _common_blocks(s1: TruncatedFockState, s2: TruncatedFockState):
+Overlaps = list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _common_blocks(s1: TruncatedFockState, s2: TruncatedFockState) -> Overlaps:
     """(slice, values1, values2, |U1* U2|^2) for each block the states share.
+
+    Computed once per ordered pair and kept on s1, keyed weakly by s2 (see
+    ``TruncatedFockState._overlaps``).
+    """
+    _require_same_basis(s1, s2)
+    blocks = s1._overlaps.get(s2)
+    if blocks is None:
+        blocks = s1._overlaps[s2] = _overlap_blocks(s1, s2)
+    return blocks
+
+
+def _overlap_blocks(s1: TruncatedFockState, s2: TruncatedFockState) -> Overlaps:
+    """The blocks of ``_common_blocks``, computed afresh.
 
     Alike-blocked states pair block with block.  Otherwise the whole basis is
     one block: state 2's eigenvectors are laid out in the full basis and state
     1's block eigenvectors act on their rows, so eigenpairs come blockwise and
     a support cutoff sees the largest eigenvalue of the whole state.
     """
-    _require_same_basis(s1, s2)
     if s1.slices == s2.slices:
-        for sl, (v1, u1), (v2, u2) in zip(s1.slices, s1.spectra, s2.spectra):
-            yield sl, v1, v2, np.abs(u1.conj().T @ u2) ** 2
-        return
+        return [
+            (sl, v1, v2, np.abs(u1.conj().T @ u2) ** 2)
+            for sl, (v1, u1), (v2, u2) in zip(s1.slices, s1.spectra, s2.spectra)
+        ]
     dim = s1.basis.dimension
     u2 = np.zeros((dim, dim), dtype=np.result_type(*(u for _, u in s2.spectra)))
     for sl, (_, u) in zip(s2.slices, s2.spectra):
@@ -403,7 +437,7 @@ def _common_blocks(s1: TruncatedFockState, s2: TruncatedFockState):
     for sl, (_, u) in zip(s1.slices, s1.spectra):
         overlap[sl] = np.abs(u.conj().T @ u2[sl]) ** 2
     v1, v2 = (np.concatenate([v for v, _ in s.spectra]) for s in (s1, s2))
-    yield slice(0, dim), v1, v2, overlap
+    return [(slice(0, dim), v1, v2, overlap)]
 
 
 def quasi_power_trace(s1: TruncatedFockState, s2: TruncatedFockState, t: float) -> float:
@@ -417,20 +451,23 @@ def quasi_power_trace(s1: TruncatedFockState, s2: TruncatedFockState, t: float) 
 
 
 def nussbaum_szkola(s1: TruncatedFockState, s2: TruncatedFockState):
-    """Classical weight tables p1, p2 on eigenpair indices.
+    """Classical weight tables p1, p2 on the eigenpairs of the shared blocks.
 
-    p1[i, j] = lambda1_i |<e1_i, e2_j>|^2 and p2[i, j] = lambda2_j
-    |<e1_i, e2_j>|^2; their Hellinger-type sums reproduce the quantum
-    quasi-power traces.  The eigenpairs are ordered blockwise (see the
-    module docstring), so only sums over the tables are meaningful.
+    p1 = lambda1_i |<e1_i, e2_j>|^2 and p2 = lambda2_j |<e1_i, e2_j>|^2 over
+    the pairs (i, j) of eigenpairs in a common block; their Hellinger-type
+    sums reproduce the quantum quasi-power traces.  Pairs from different
+    blocks have zero overlap and are left out, so both tables are flat
+    arrays: each shared block's table raveled row by row, in block order.
+    That is the order in which boolean indexing visits the dense D x D
+    tables, but the eigenpairs are ordered blockwise (see the module
+    docstring), so only sums over the tables are meaningful.
     """
-    dim = s1.basis.dimension
-    p1 = np.zeros((dim, dim))
-    p2 = np.zeros((dim, dim))
-    for sl, v1, v2, overlap in _common_blocks(s1, s2):
-        p1[sl, sl] = v1[:, None] * overlap
-        p2[sl, sl] = overlap * v2[None, :]
-    return p1, p2
+    blocks = _common_blocks(s1, s2)
+    p1 = [(v1[:, None] * overlap).ravel() for _, v1, _, overlap in blocks]
+    p2 = [(overlap * v2[None, :]).ravel() for _, _, v2, overlap in blocks]
+    if len(blocks) == 1:
+        return p1[0], p2[0]
+    return np.concatenate(p1), np.concatenate(p2)
 
 
 @dataclass(frozen=True)
@@ -449,18 +486,26 @@ def neyman_pearson(
     it by at most s1.trace_deficit.
     """
     _require_same_basis(s1, s2)
-    pairs = zip(s1.blocks, s2.blocks) if s1.slices == s2.slices else [(s1.matrix, s2.matrix)]
+    pairs = zip(s1.blocks, s2.blocks) if s1.slices == s2.slices else [(_whole(s1), _whole(s2))]
     factor = math.exp(-scale * a)
     tr1 = 0.0
     tr2 = 0.0
     for b1, b2 in pairs:
         vals, vecs = np.linalg.eigh(factor * b1 - b2)
         keep = vecs[:, vals > 0.0]
+        del vecs
         tr1 += float(np.real(np.sum(keep.conj() * (b1 @ keep))))
         tr2 += float(np.real(np.sum(keep.conj() * (b2 @ keep))))
     alpha = 1.0 - tr1
     beta = tr2
     return NPResult(alpha=alpha, beta=beta, e=factor * alpha + beta)
+
+
+def _whole(s: TruncatedFockState) -> np.ndarray:
+    # a state held as one block over the whole basis is read in place
+    if s.slices == (slice(0, s.basis.dimension),):
+        return s.blocks[0]
+    return s.matrix
 
 
 def lattice_state(

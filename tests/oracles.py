@@ -15,7 +15,12 @@ from gaussht.errors import (
     UnitarityDefect,
     ValidationError,
 )
-from gaussht.fock import TruncatedFockState, exponential_vector, fock_operator_blocks
+from gaussht.fock import (
+    TruncatedFockState,
+    _common_blocks,
+    exponential_vector,
+    fock_operator_blocks,
+)
 from gaussht.symbols import symbol_values
 
 
@@ -121,6 +126,24 @@ def site_lattice_state(state, n, cutoff, basis=None):
         w = displacement_operator_dense(data.y, state.kappa, basis)
         rho = TruncatedFockState.from_matrix(basis, w @ rho.matrix @ w.conj().T)
     return rho
+
+
+def nussbaum_szkola_dense(s1: TruncatedFockState, s2: TruncatedFockState):
+    """Classical weight tables p1, p2 on eigenpair indices, as dense D x D
+    arrays: the layout oracle for ``fock.nussbaum_szkola``'s flat tables.
+
+    p1[i, j] = lambda1_i |<e1_i, e2_j>|^2 and p2[i, j] = lambda2_j
+    |<e1_i, e2_j>|^2; their Hellinger-type sums reproduce the quantum
+    quasi-power traces.  The eigenpairs are ordered blockwise (see the
+    ``gaussht.fock`` docstring), so only sums over the tables are meaningful.
+    """
+    dim = s1.basis.dimension
+    p1 = np.zeros((dim, dim))
+    p2 = np.zeros((dim, dim))
+    for sl, v1, v2, overlap in _common_blocks(s1, s2):
+        p1[sl, sl] = v1[:, None] * overlap
+        p2[sl, sl] = overlap * v2[None, :]
+    return p1, p2
 
 
 def apply_fn(es, f):

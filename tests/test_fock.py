@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from conftest import (
 from oracles import (
     displacement_operator_dense,
     fock_operator,
+    nussbaum_szkola_dense,
     occupation_sectors,
     permanent_repeated,
     second_quantized_trace_check,
@@ -332,11 +336,18 @@ def test_displaced_set_up_runs_no_fock_space_eigensolve(monkeypatch):
     assert sizes and max(sizes) <= 13
 
 
+def per_block(table, slices):
+    """A flat Nussbaum-Szkola table cut into the n x n tables of its blocks."""
+    sizes = [sl.stop - sl.start for sl in slices]
+    parts = np.split(table, np.cumsum([n * n for n in sizes])[:-1])
+    return [part.reshape(n, n) for part, n in zip(parts, sizes)]
+
+
 def test_nussbaum_szkola_diagonal():
     _, s1, s2 = thermal_pair(40)
     p1, p2 = nussbaum_szkola(s1, s2)
     lam1 = np.sort(np.diag(s1.matrix).real)
-    got = np.sort(p1.sum(axis=1))
+    got = np.sort(np.concatenate([block.sum(axis=1) for block in per_block(p1, s1.slices)]))
     assert np.allclose(got, lam1, atol=1e-12)
     assert p1.sum() == pytest.approx(s1.trace, abs=1e-12)
     assert p2.sum() == pytest.approx(s2.trace, abs=1e-12)
@@ -629,3 +640,113 @@ def test_carried_eigenpairs_rebuild_blocks(lam, cutoff, real, seed):
     assert_spectra_rebuild_blocks(moved)
     direct = w @ state.matrix @ w.conj().T
     assert np.abs(moved.blocks[0] - direct).max() <= 1e-13 * np.abs(direct).max()
+
+
+NS_LAYOUT_PAIRS = {
+    "thermal": lambda: thermal_pair(40)[1:],
+    "chain-blocks": chain_states,
+    "undisplaced-displaced": lambda: chain_states(y2={0: 0.3 + 0.2j}),
+}
+
+
+@pytest.mark.parametrize("pair", NS_LAYOUT_PAIRS)
+def test_nussbaum_szkola_flat_tables_match_dense(pair):
+    """The flat tables are the shared blocks of the dense D x D tables, in
+    the order in which boolean indexing visits them; the rest is zero."""
+    s1, s2 = NS_LAYOUT_PAIRS[pair]()
+    dim = s1.basis.dimension
+    mask = np.zeros((dim, dim), dtype=bool)
+    for sl in s1.slices if s1.slices == s2.slices else [slice(0, dim)]:
+        mask[sl, sl] = True
+    for flat, dense in zip(nussbaum_szkola(s1, s2), nussbaum_szkola_dense(s1, s2)):
+        assert np.array_equal(flat, dense[mask])
+        assert not dense[~mask].any()
+
+
+def test_nussbaum_szkola_tables_hold_shared_blocks_only():
+    """At 3 modes and cutoff 20 (D = 1771) an undisplaced pair shares the
+    photon sectors, whose squared sizes sum to 256 795, not 1771^2."""
+    prob = make_problem({0: 1.5, 1: 0.4 + 0.3j, -1: 0.4 - 0.3j}, {0: 2.0, 1: 0.3j, -1: -0.3j})
+    basis = build_basis(3, 20)
+    s1, s2 = (lattice_state(s, 3, 20, basis=basis) for s in (prob.state1, prob.state2))
+    p1, p2 = nussbaum_szkola(s1, s2)
+    assert p1.size == p2.size == 256_795
+
+
+@pytest.fixture
+def overlap_passes(monkeypatch):
+    """Records the (s1, s2) of every overlap computation."""
+    passes = []
+    overlap_blocks = fock._overlap_blocks
+
+    def counting(s1, s2):
+        passes.append((s1, s2))
+        return overlap_blocks(s1, s2)
+
+    monkeypatch.setattr(fock, "_overlap_blocks", counting)
+    return passes
+
+
+PAIR_TS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+
+@pytest.mark.parametrize("y2", [None, {0: 0.3 + 0.2j}], ids=["blocks", "mixed"])
+def test_overlap_computed_once_per_ordered_pair(overlap_passes, y2):
+    s1, s2 = chain_states(y2=y2)
+    first = [quasi_power_trace(s1, s2, t) for t in PAIR_TS]
+    nussbaum_szkola(s1, s2)
+    assert [quasi_power_trace(s1, s2, t) for t in PAIR_TS] == first
+    assert overlap_passes == [(s1, s2)]
+    # the other order has an overlap of its own, not this one
+    for t in PAIR_TS:
+        assert quasi_power_trace(s2, s1, t) == pytest.approx(
+            quasi_power_trace(s1, s2, 1.0 - t), abs=1e-14
+        )
+    assert overlap_passes == [(s1, s2), (s2, s1)]
+    # the same content under a new identity is a new pair
+    copy = dataclasses.replace(s2)
+    assert [quasi_power_trace(s1, copy, t) for t in PAIR_TS] == first
+    assert overlap_passes[-1] == (s1, copy) and len(overlap_passes) == 3
+
+
+def test_overlap_cache_dies_with_its_states():
+    s1, s2 = chain_states(y2={0: 0.3 + 0.2j})
+    quasi_power_trace(s1, s2, 0.5)
+    assert len(s1._overlaps) == 1
+    del s2
+    gc.collect()
+    assert len(s1._overlaps) == 0
+    quasi_power_trace(s1, s1, 0.5)
+    ref = weakref.ref(s1)
+    del s1
+    assert ref() is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    lams=st.integers(1, 3).flatmap(
+        lambda d: st.tuples(*(st.lists(EIGENVALUE, min_size=d, max_size=d),) * 2)
+    ),
+    cutoff=st.integers(0, 8),
+    displaced=st.sampled_from([(False, True), (True, False), (True, True), (False, False)]),
+    fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nussbaum_szkola_hellinger_sums_property(lams, cutoff, displaced, fraction, seed):
+    """The Hellinger sums of the flat tables are the quasi-power traces, for
+    block-diagonal and displaced (dense) states in every combination."""
+    rng = np.random.default_rng(seed)
+    d = len(lams[0])
+    basis = build_basis(d, cutoff)
+    states = []
+    for lam, moved in zip(lams, displaced):
+        v = random_unitary(rng, d, real=False)
+        state = gaussian_density((v * lam) @ v.conj().T, float(np.sum(np.log1p(-np.array(lam)))), basis)
+        if moved:
+            y = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            y *= fraction * SELF_TEST_NORM[cutoff] * math.sqrt(2.0) / np.linalg.norm(y)
+            state = displace_state(state, displacement_operator(y, 0.5, basis))
+        states.append(state)
+    p1, p2 = nussbaum_szkola(*states)
+    for t in PAIR_TS:
+        assert hellinger_sum(p1, p2, t) == pytest.approx(quasi_power_trace(*states, t), abs=1e-10)
