@@ -56,6 +56,14 @@ hold the shared blocks only, as flat arrays: at 3 modes and cutoff 20 an
 undisplaced pair gives 256 795 entries per table where the dense D x D
 tables held 1771^2 = 3 136 441.
 
+The optimal Neyman-Pearson error e = e^(-a) alpha + beta is e^(-a) minus the
+sum of the positive eigenvalues of A = e^(-a) rho1 - rho2, with alpha on the
+ideal unit trace, so ``neyman_pearson`` computes it from one eigvalsh per
+block.  The projector onto the positive part of A, which alpha and beta
+need, costs one eigh per block and is built only when they are read (see
+``NPResult``); ``error_exponent_sweep`` reads all three, builds it at once,
+and reads e from the same eigenvalues.
+
 The brute-force oracles for the basis and these blocks (the enumerated
 occupation vectors, Ryser permanents, the dense creation matrices and the
 second-quantized trace identity built on them, the dense Fock operator), the
@@ -259,11 +267,8 @@ def _require_same_basis(s1: TruncatedFockState, s2: TruncatedFockState) -> None:
         raise BasisMismatch("states live on different truncated bases")
 
 
-def _quasi_free(r: np.ndarray, logN: float, basis: FockBasis):
-    """(Hermitian part of r, eigensystem of exp(logN) Gamma(r)); see gaussian_density."""
-    r = np.asarray(r)
-    r = 0.5 * (r + r.conj().T)
-    lam, v = np.linalg.eigh(r)
+def _quasi_free(lam: np.ndarray, v: np.ndarray, logN: float, basis: FockBasis):
+    """Eigensystem of exp(logN) Gamma(V diag(lam) V*), built on first call."""
     norm = float(np.max(np.abs(lam)))
     if norm >= 1.0:
         raise SpectralRadiusError(f"one-particle contraction has norm {norm} >= 1")
@@ -275,7 +280,15 @@ def _quasi_free(r: np.ndarray, logN: float, basis: FockBasis):
         vectors = fock_operator_blocks(v, basis)
         return tuple((values[sl], u) for sl, u in zip(basis.block_slices, vectors))
 
-    return r, eigensystem
+    return eigensystem
+
+
+def _gaussian(r: np.ndarray, lam: np.ndarray, v: np.ndarray, logN: float, basis: FockBasis):
+    """exp(logN) Gamma(r) for the Hermitian part of r = V diag(lam) V*."""
+    r = 0.5 * (r + r.conj().T)
+    eigensystem = _quasi_free(lam, v, logN, basis)
+    blocks = [math.exp(logN) * b for b in fock_operator_blocks(r, basis)]
+    return TruncatedFockState.from_blocks(basis, blocks, basis.block_slices, eigensystem)
 
 
 def gaussian_density(r: np.ndarray, logN: float, basis: FockBasis) -> TruncatedFockState:
@@ -287,9 +300,9 @@ def gaussian_density(r: np.ndarray, logN: float, basis: FockBasis) -> TruncatedF
     occupation vectors m (0^0 = 1, so a vacuum mode gives exact zeros), and
     the blocks of Gamma(V) as vectors, built on first use.
     """
-    r, eigensystem = _quasi_free(r, logN, basis)
-    blocks = [math.exp(logN) * b for b in fock_operator_blocks(r, basis)]
-    return TruncatedFockState.from_blocks(basis, blocks, basis.block_slices, eigensystem)
+    r = np.asarray(r)
+    lam, v = np.linalg.eigh(0.5 * (r + r.conj().T))
+    return _gaussian(r, lam, v, logN, basis)
 
 
 def exponential_vector(z: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -470,35 +483,103 @@ def nussbaum_szkola(s1: TruncatedFockState, s2: TruncatedFockState):
     return np.concatenate(p1), np.concatenate(p2)
 
 
-@dataclass(frozen=True)
 class NPResult:
-    alpha: float
-    beta: float
-    e: float
+    """Optimal Neyman-Pearson test for e = e^(-scale a) alpha + beta.
+
+    The optimal test is the projector P onto the positive part of
+    A = e^(-scale a) rho1 - rho2, with alpha = 1 - Tr rho1 P (the ideal unit
+    trace, so the truncation deficit of rho1 inflates alpha by at most
+    rho1.trace_deficit) and beta = Tr rho2 P.  The error needs the spectrum
+    alone: e = e^(-scale a) - sum of the positive eigenvalues of A, exactly on
+    the truncation too, so ``e`` costs one eigvalsh per block.  alpha and
+    beta need P: one eigh per block and one projected product, built when
+    either is first read, or at once when ``neyman_pearson`` is asked to
+    project; e then reads its sum of positive eigenvalues from that pass.
+    """
+
+    def __init__(self, s1: TruncatedFockState, s2: TruncatedFockState, factor: float):
+        self._states = (s1, s2)
+        self._factor = factor
+
+    def _blocks(self):
+        # (A, block of rho1, block of rho2) per block; a state held as one
+        # block over the whole basis is read in place
+        s1, s2 = self._states
+        pairs = zip(s1.blocks, s2.blocks) if s1.slices == s2.slices else [(_whole(s1), _whole(s2))]
+        return ((self._factor * b1 - b2, b1, b2) for b1, b2 in pairs)
+
+    @cached_property
+    def _projected(self) -> tuple[float, float, float]:
+        """(e, alpha, beta) from one eigh per block and one projected product.
+
+        P is read against the state whose term in A is not the larger: rho1
+        when e^(-scale a) <= 1, so alpha = 1 - Tr rho1 P and
+        beta = e - e^(-scale a) alpha; rho2 otherwise, so beta = Tr rho2 P and
+        alpha = (e - beta) e^(scale a).  Neither is then the small difference
+        of two terms of the size of e^(-scale a).
+        """
+        first = self._factor <= 1.0
+        positive = weight = 0.0
+        for a, b1, b2 in self._blocks():
+            vals, vecs = np.linalg.eigh(a)
+            del a
+            up = vals > 0.0
+            keep = vecs[:, up]
+            del vecs
+            positive += float(np.sum(vals[up]))
+            weight += float(np.real(np.sum(keep.conj() * ((b1 if first else b2) @ keep))))
+        e = self._factor - positive
+        if first:
+            alpha = 1.0 - weight
+            return e, alpha, e - self._factor * alpha
+        return e, (e - weight) / self._factor, weight
+
+    @cached_property
+    def e(self) -> float:
+        if "_projected" in self.__dict__:
+            return self._projected[0]
+        positive = 0.0
+        for a, _, _ in self._blocks():
+            vals = np.linalg.eigvalsh(a)
+            positive += float(np.sum(vals[vals > 0.0]))
+        return self._factor - positive
+
+    @property
+    def alpha(self) -> float:
+        return self._projected[1]
+
+    @property
+    def beta(self) -> float:
+        return self._projected[2]
+
+    def __repr__(self) -> str:
+        return f"NPResult(e={self.e!r})"
 
 
 def neyman_pearson(
-    s1: TruncatedFockState, s2: TruncatedFockState, a: float, scale: int = 1
+    s1: TruncatedFockState, s2: TruncatedFockState, a: float, scale: int = 1, project: bool = False
 ) -> NPResult:
-    """Optimal test for e^(-scale a) alpha + beta: project on the positive part.
+    """Optimal test for e^(-scale a) alpha + beta; see ``NPResult``.
 
-    alpha uses the ideal unit trace, so the truncation deficit of s1 inflates
-    it by at most s1.trace_deficit.
+    ``e`` is computed here, from the spectrum alone.  With ``project`` the
+    projector pass runs instead and ``e`` is read from it: for a caller that
+    reads alpha and beta too, one eigensolve per block in all.  A threshold
+    whose e^(-scale a) is not a positive finite double raises DomainError.
     """
     _require_same_basis(s1, s2)
-    pairs = zip(s1.blocks, s2.blocks) if s1.slices == s2.slices else [(_whole(s1), _whole(s2))]
-    factor = math.exp(-scale * a)
-    tr1 = 0.0
-    tr2 = 0.0
-    for b1, b2 in pairs:
-        vals, vecs = np.linalg.eigh(factor * b1 - b2)
-        keep = vecs[:, vals > 0.0]
-        del vecs
-        tr1 += float(np.real(np.sum(keep.conj() * (b1 @ keep))))
-        tr2 += float(np.real(np.sum(keep.conj() * (b2 @ keep))))
-    alpha = 1.0 - tr1
-    beta = tr2
-    return NPResult(alpha=alpha, beta=beta, e=factor * alpha + beta)
+    try:
+        factor = math.exp(-scale * a)
+    except OverflowError:
+        factor = math.inf
+    if not 0.0 < factor < math.inf:
+        raise DomainError(
+            f"threshold a = {a} at scale {scale}: e^(-scale a) = {factor} is not a positive finite number"
+        )
+    res = NPResult(s1, s2, factor)
+    if project:
+        res._projected
+    res.e  # cached; read from the projector pass when it has run
+    return res
 
 
 def _whole(s: TruncatedFockState) -> np.ndarray:
@@ -527,11 +608,12 @@ def lattice_state(
         basis = build_basis(modes, cutoff, cap=basis_cap)
     elif basis.modes != modes:
         raise BasisMismatch(f"basis has {basis.modes} modes, cube needs {modes}")
-    r = (data.V * (data.q / (1.0 + data.q))) @ data.V.T
+    # the finite engine's eigensystem is the contraction's: r = V diag(lam) V^T
+    lam = data.q / (1.0 + data.q)
     if not np.any(data.y != 0):
-        return gaussian_density(r, data.logN, basis)
+        return _gaussian((data.V * lam) @ data.V.T, lam, data.V, data.logN, basis)
     # a displaced state reads only the eigensystem of the undisplaced one
-    _, eigensystem = _quasi_free(r, data.logN, basis)
+    eigensystem = _quasi_free(lam, data.V, data.logN, basis)
     y = (data.y - 1j * data.y[::-1]) / math.sqrt(2.0)
     w = displacement_operator(y, state.kappa, basis)
     return _conjugated(basis, basis.block_slices, eigensystem(), w)
@@ -562,7 +644,11 @@ def error_exponent_sweep(
         basis = build_basis(scale, cutoff, cap=basis_cap)
         s1 = lattice_state(problem.state1, n, cutoff, basis=basis, dense_cap=dense_cap)
         s2 = lattice_state(problem.state2, n, cutoff, basis=basis, dense_cap=dense_cap)
-        res = neyman_pearson(s1, s2, a, scale=scale)
+        res = neyman_pearson(s1, s2, a, scale=scale, project=True)
+        if not res.e > 0.0:
+            raise DomainError(
+                f"optimal error {res.e} at n = {n}, a = {a} is not positive: no exponent"
+            )
         rows.append(
             SweepRow(
                 n=n,

@@ -18,6 +18,8 @@ from gaussht.errors import (
 from gaussht.fock import (
     TruncatedFockState,
     _common_blocks,
+    _require_same_basis,
+    _whole,
     exponential_vector,
     fock_operator_blocks,
 )
@@ -144,6 +146,25 @@ def nussbaum_szkola_dense(s1: TruncatedFockState, s2: TruncatedFockState):
         p1[sl, sl] = v1[:, None] * overlap
         p2[sl, sl] = overlap * v2[None, :]
     return p1, p2
+
+
+def neyman_pearson_projector(s1: TruncatedFockState, s2: TruncatedFockState, a, scale=1):
+    """(alpha, beta, e) of the optimal test for e^(-scale a) alpha + beta, each
+    read off the projector P onto the positive part of e^(-scale a) rho1 - rho2:
+    alpha = 1 - Tr rho1 P, beta = Tr rho2 P and e = e^(-scale a) alpha + beta.
+    The oracle for ``fock.neyman_pearson``, which takes e from the spectrum."""
+    _require_same_basis(s1, s2)
+    pairs = zip(s1.blocks, s2.blocks) if s1.slices == s2.slices else [(_whole(s1), _whole(s2))]
+    factor = math.exp(-scale * a)
+    tr1 = 0.0
+    tr2 = 0.0
+    for b1, b2 in pairs:
+        vals, vecs = np.linalg.eigh(factor * b1 - b2)
+        keep = vecs[:, vals > 0.0]
+        tr1 += float(np.real(np.sum(keep.conj() * (b1 @ keep))))
+        tr2 += float(np.real(np.sum(keep.conj() * (b2 @ keep))))
+    alpha = 1.0 - tr1
+    return alpha, tr2, factor * alpha + tr2
 
 
 def apply_fn(es, f):

@@ -190,6 +190,18 @@ def test_numerical_failure_is_named(tmp_path, capsys):
     assert "SizeOverflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a", [-800, 800])
+def test_simulate_threshold_outside_the_double_range_is_named(tmp_path, capsys, a):
+    """e^(-a) overflows at a = -800 and underflows to 0 at a = 800: a named
+    numerical failure (exit 2), not a raw OverflowError or math domain error."""
+    config = parse_config(
+        config_text(command="simulate", n_list=[1], fock_cutoff=12, t_grid=3, a_list=[a])
+    )
+    assert run(config, out_dir=tmp_path) == 2
+    assert "DomainError" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.json").exists()
+
+
 def test_run_sweep(tmp_path):
     config = parse_config(config_text(command="sweep", n_list=[2, 4], t_grid=5))
     assert run(config, out_dir=tmp_path) == 0

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import gc
 import math
 import weakref
@@ -40,6 +42,7 @@ from conftest import (
 from oracles import (
     displacement_operator_dense,
     fock_operator,
+    neyman_pearson_projector,
     nussbaum_szkola_dense,
     occupation_sectors,
     permanent_repeated,
@@ -571,12 +574,9 @@ SITE_ORACLE_SHIFTS = {
 }
 
 
-@pytest.mark.parametrize("shift", SITE_ORACLE_SHIFTS)
-@pytest.mark.parametrize("pair", SITE_ORACLE_PAIRS)
-def test_real_frame_matches_site_basis_oracle(pair, shift):
-    """The real-frame states with carried spectra give the traces, the optimal
-    test and the Nussbaum-Szkola sums of the site-basis states, which are
-    diagonalised by an eigensolver."""
+def site_oracle_states(pair, shift, build=lattice_state):
+    """The pair SITE_ORACLE_PAIRS[pair], shifted by SITE_ORACLE_SHIFTS[shift]
+    (state 1 at the last site, state 2 at the origin), built by ``build``."""
     dim, n, cutoff, c1, c2 = SITE_ORACLE_PAIRS[pair]
     origin, last = (0,) * dim, (n - 1,) * dim
     y1, y2 = SITE_ORACLE_SHIFTS[shift]
@@ -586,8 +586,17 @@ def test_real_frame_matches_site_basis_oracle(pair, shift):
         y2=None if y2 is None else {origin: y2},
     )
     basis = build_basis(n**dim, cutoff)
-    frame = [lattice_state(s, n, cutoff, basis=basis) for s in (prob.state1, prob.state2)]
-    site = [site_lattice_state(s, n, cutoff, basis=basis) for s in (prob.state1, prob.state2)]
+    return [build(s, n, cutoff, basis=basis) for s in (prob.state1, prob.state2)]
+
+
+@pytest.mark.parametrize("shift", SITE_ORACLE_SHIFTS)
+@pytest.mark.parametrize("pair", SITE_ORACLE_PAIRS)
+def test_real_frame_matches_site_basis_oracle(pair, shift):
+    """The real-frame states with carried spectra give the traces, the optimal
+    test and the Nussbaum-Szkola sums of the site-basis states, which are
+    diagonalised by an eigensolver."""
+    frame = site_oracle_states(pair, shift)
+    site = site_oracle_states(pair, shift, build=site_lattice_state)
     ts = (0.1, 0.3, 0.5, 0.7, 0.9)
     for t in ts:
         assert quasi_power_trace(*frame, t) == pytest.approx(quasi_power_trace(*site, t), abs=1e-12)
@@ -597,6 +606,147 @@ def test_real_frame_matches_site_basis_oracle(pair, shift):
     (p1, p2), (q1, q2) = nussbaum_szkola(*frame), nussbaum_szkola(*site)
     for t in ts:
         assert hellinger_sum(p1, p2, t) == pytest.approx(hellinger_sum(q1, q2, t), abs=1e-12)
+
+
+def bench_shaped_pair(cutoff, displaced):
+    """A non-commuting pair on 3 sites, shaped like the Fock benchmark
+    workloads: undisplaced (block-diagonal) or with state 2 displaced (dense)."""
+    prob = make_problem(
+        {0: 1.5, 1: 0.4 + 0.3j, -1: 0.4 - 0.3j},
+        {0: 2.0, 1: 0.3j, -1: -0.3j},
+        y2={0: 0.3 + 0.2j, 2: -0.1j} if displaced else None,
+    )
+    basis = build_basis(3, cutoff)
+    return tuple(lattice_state(s, 3, cutoff, basis=basis) for s in (prob.state1, prob.state2))
+
+
+NP_PAIRS = {
+    "thermal": lambda: thermal_pair(60)[1:],
+    "thermal-identical": lambda: thermal_pair(60)[1:2] * 2,
+    "thermal-reversed": lambda: thermal_pair(60)[:0:-1],
+    **{
+        f"site-{pair}-{shift}": functools.partial(site_oracle_states, pair, shift)
+        for pair in SITE_ORACLE_PAIRS
+        for shift in SITE_ORACLE_SHIFTS
+    },
+    "bench-blocks-cutoff20": lambda: bench_shaped_pair(20, displaced=False),
+    "bench-displaced-cutoff12": lambda: bench_shaped_pair(12, displaced=True),
+}
+
+
+@pytest.mark.parametrize("pair", NP_PAIRS)
+def test_neyman_pearson_matches_projector_oracle(pair):
+    """e from the spectrum alone, and alpha and beta from the projector, agree
+    with alpha, beta and e all read off the projector, whether the projector
+    pass runs after e or first (project=True); e = e^(-a) alpha + beta holds
+    to rounding."""
+    s1, s2 = NP_PAIRS[pair]()
+    dim = s1.basis.dimension
+    for a, scale in ((0.0, 1), (0.3, 1), (-0.2, 1), (0.15, 3), (-0.4, 3)):
+        factor = math.exp(-scale * a)
+        want = neyman_pearson_projector(s1, s2, a, scale=scale)
+        for project in (False, True):
+            res = neyman_pearson(s1, s2, a, scale=scale, project=project)
+            assert (res.alpha, res.beta, res.e) == pytest.approx(want, abs=1e-12)
+            budget = 256 * dim * np.finfo(float).eps * max(1.0, factor)
+            assert abs(res.e - (factor * res.alpha + res.beta)) <= budget
+
+
+def test_neyman_pearson_keeps_alpha_and_beta_accurate_at_large_weights():
+    """For e^(-a) >> 1, beta is read from Tr rho2 P, not as e - e^(-a) alpha,
+    whose terms are both near e; and alpha likewise for e^(-a) << 1."""
+    s1, s2 = chain_states(y2={0: 0.3 + 0.2j})
+    for a in (-40.0, -20.0, 20.0, 40.0):
+        res = neyman_pearson(s1, s2, a)
+        alpha, beta, _ = neyman_pearson_projector(s1, s2, a)
+        assert res.alpha == pytest.approx(alpha, abs=1e-12)
+        assert res.beta == pytest.approx(beta, abs=1e-12)
+        assert res.e == pytest.approx(math.exp(-a) * alpha + beta, rel=1e-12)
+
+
+class CountingLinalg:
+    """``np.linalg`` with its eigh and eigvalsh calls counted."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        return getattr(np.linalg, name)
+
+    def eigh(self, m, *args, **kwargs):
+        self.calls["eigh"] += 1
+        return np.linalg.eigh(m, *args, **kwargs)
+
+    def eigvalsh(self, m, *args, **kwargs):
+        self.calls["eigvalsh"] += 1
+        return np.linalg.eigvalsh(m, *args, **kwargs)
+
+
+class CountingNumpy:
+    """numpy with a ``CountingLinalg``."""
+
+    def __init__(self):
+        self.linalg = CountingLinalg()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture
+def fock_solves(monkeypatch):
+    """The eigensolver calls that ``gaussht.fock`` makes, by name."""
+    numpy = CountingNumpy()
+    monkeypatch.setattr(fock, "np", numpy)
+    return numpy.linalg.calls
+
+
+@pytest.mark.parametrize("y2", [None, {0: 0.3 + 0.2j}], ids=["blocks", "mixed"])
+def test_neyman_pearson_solves_only_what_is_read(fock_solves, y2):
+    """Reading e runs one eigvalsh per block and no eigh; alpha and beta run
+    one eigh per block, once; with project=True, as the sweep asks, alpha,
+    beta and e cost one eigh per block and nothing else."""
+    s1, s2 = chain_states(y2=y2)
+    blocks = len(s1.slices) if s1.slices == s2.slices else 1
+    fock_solves.clear()
+    res = neyman_pearson(s1, s2, 0.1)
+    res.e, res.e
+    assert fock_solves == {"eigvalsh": blocks}
+    for _ in range(2):
+        res.alpha, res.beta, res.e
+    assert fock_solves == {"eigvalsh": blocks, "eigh": blocks}
+    fock_solves.clear()
+    res = neyman_pearson(s1, s2, 0.1, project=True)
+    for _ in range(2):
+        res.alpha, res.beta, res.e
+    assert fock_solves == {"eigh": blocks}
+
+
+def test_error_exponent_sweep_solves_once_per_block(fock_solves):
+    cutoff = 12
+    rows = error_exponent_sweep(make_problem(1.0, {0: 2.0, 1: 0.3j, -1: -0.3j}), [1, 2], cutoff)
+    assert len(rows) == 2
+    assert fock_solves == {"eigh": 2 * (cutoff + 1)}
+
+
+@pytest.mark.parametrize(
+    "a, scale", [(-800.0, 1), (800.0, 1), (-300.0, 3), (math.nan, 1), (math.inf, 1), (-math.inf, 1)]
+)
+def test_threshold_outside_the_double_range_is_named(a, scale):
+    """e^(-scale a) must be a positive finite double: an overflow, an
+    underflow to 0 or a NaN is a DomainError, not a raw arithmetic error."""
+    _, s1, s2 = thermal_pair(10)
+    with pytest.raises(DomainError, match="not a positive finite number"):
+        neyman_pearson(s1, s2, a, scale=scale)
+    with pytest.raises(DomainError):
+        error_exponent_sweep(make_problem(1.0, 2.0), [scale], 10, a=a)
+
+
+def test_sweep_rejects_an_error_that_is_not_positive(monkeypatch):
+    """An error at or below 0 (below the rounding of the spectrum) has no
+    exponent; the sweep names it instead of failing in the logarithm."""
+    monkeypatch.setattr(fock.NPResult, "e", 0.0)
+    with pytest.raises(DomainError, match="not positive"):
+        error_exponent_sweep(make_problem(1.0, 2.0), [1], 10)
 
 
 def random_unitary(rng, size, real):
