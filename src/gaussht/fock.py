@@ -58,11 +58,11 @@ tables held 1771^2 = 3 136 441.
 
 The optimal Neyman-Pearson error e = e^(-a) alpha + beta is e^(-a) minus the
 sum of the positive eigenvalues of A = e^(-a) rho1 - rho2, with alpha on the
-ideal unit trace, so ``neyman_pearson`` computes it from one eigvalsh per
+ideal unit trace, so ``NPResult.e`` takes it from one eigvalsh per
 block.  The projector onto the positive part of A, which alpha and beta
 need, costs one eigh per block and is built only when they are read (see
-``NPResult``); ``error_exponent_sweep`` reads all three, builds it at once,
-and reads e from the same eigenvalues.
+``NPResult``); ``error_exponent_sweep`` reads alpha first, so e is read from
+the eigenvalues of that same eigh.
 
 The brute-force oracles for the basis and these blocks (the enumerated
 occupation vectors, Ryser permanents, the dense creation matrices and the
@@ -491,10 +491,12 @@ class NPResult:
     trace, so the truncation deficit of rho1 inflates alpha by at most
     rho1.trace_deficit) and beta = Tr rho2 P.  The error needs the spectrum
     alone: e = e^(-scale a) - sum of the positive eigenvalues of A, exactly on
-    the truncation too, so ``e`` costs one eigvalsh per block.  alpha and
-    beta need P: one eigh per block and one projected product, built when
-    either is first read, or at once when ``neyman_pearson`` is asked to
-    project; e then reads its sum of positive eigenvalues from that pass.
+    the truncation too.  Each value is computed on first read: e from one
+    eigvalsh per block; alpha and beta from P, one eigh per block and the two
+    projected traces.  Once P has been built, e reads its sum of positive
+    eigenvalues from the same eigh, so a caller that reads alpha first pays
+    one eigensolve per block in all.  The two states are held until P has
+    been built, and released then.
     """
 
     def __init__(self, s1: TruncatedFockState, s2: TruncatedFockState, factor: float):
@@ -510,16 +512,8 @@ class NPResult:
 
     @cached_property
     def _projected(self) -> tuple[float, float, float]:
-        """(e, alpha, beta) from one eigh per block and one projected product.
-
-        P is read against the state whose term in A is not the larger: rho1
-        when e^(-scale a) <= 1, so alpha = 1 - Tr rho1 P and
-        beta = e - e^(-scale a) alpha; rho2 otherwise, so beta = Tr rho2 P and
-        alpha = (e - beta) e^(scale a).  Neither is then the small difference
-        of two terms of the size of e^(-scale a).
-        """
-        first = self._factor <= 1.0
-        positive = weight = 0.0
+        """(e, alpha, beta) from one eigh per block and the traces of P."""
+        positive = tr1 = tr2 = 0.0
         for a, b1, b2 in self._blocks():
             vals, vecs = np.linalg.eigh(a)
             del a
@@ -527,12 +521,10 @@ class NPResult:
             keep = vecs[:, up]
             del vecs
             positive += float(np.sum(vals[up]))
-            weight += float(np.real(np.sum(keep.conj() * ((b1 if first else b2) @ keep))))
-        e = self._factor - positive
-        if first:
-            alpha = 1.0 - weight
-            return e, alpha, e - self._factor * alpha
-        return e, (e - weight) / self._factor, weight
+            tr1 += float(np.real(np.sum(keep.conj() * (b1 @ keep))))
+            tr2 += float(np.real(np.sum(keep.conj() * (b2 @ keep))))
+        del self._states
+        return self._factor - positive, 1.0 - tr1, tr2
 
     @cached_property
     def e(self) -> float:
@@ -553,18 +545,19 @@ class NPResult:
         return self._projected[2]
 
     def __repr__(self) -> str:
+        if "_projected" in self.__dict__:
+            return f"NPResult(alpha={self.alpha!r}, beta={self.beta!r}, e={self.e!r})"
         return f"NPResult(e={self.e!r})"
 
 
 def neyman_pearson(
-    s1: TruncatedFockState, s2: TruncatedFockState, a: float, scale: int = 1, project: bool = False
+    s1: TruncatedFockState, s2: TruncatedFockState, a: float, scale: int = 1
 ) -> NPResult:
     """Optimal test for e^(-scale a) alpha + beta; see ``NPResult``.
 
-    ``e`` is computed here, from the spectrum alone.  With ``project`` the
-    projector pass runs instead and ``e`` is read from it: for a caller that
-    reads alpha and beta too, one eigensolve per block in all.  A threshold
-    whose e^(-scale a) is not a positive finite double raises DomainError.
+    Nothing is diagonalised here: each value is computed when it is first
+    read.  A threshold whose e^(-scale a) is not a positive finite double
+    raises DomainError.
     """
     _require_same_basis(s1, s2)
     try:
@@ -575,11 +568,7 @@ def neyman_pearson(
         raise DomainError(
             f"threshold a = {a} at scale {scale}: e^(-scale a) = {factor} is not a positive finite number"
         )
-    res = NPResult(s1, s2, factor)
-    if project:
-        res._projected
-    res.e  # cached; read from the projector pass when it has run
-    return res
+    return NPResult(s1, s2, factor)
 
 
 def _whole(s: TruncatedFockState) -> np.ndarray:
@@ -644,7 +633,8 @@ def error_exponent_sweep(
         basis = build_basis(scale, cutoff, cap=basis_cap)
         s1 = lattice_state(problem.state1, n, cutoff, basis=basis, dense_cap=dense_cap)
         s2 = lattice_state(problem.state2, n, cutoff, basis=basis, dense_cap=dense_cap)
-        res = neyman_pearson(s1, s2, a, scale=scale, project=True)
+        res = neyman_pearson(s1, s2, a, scale=scale)
+        alpha = res.alpha  # builds P first, so e is read from the same eigh
         if not res.e > 0.0:
             raise DomainError(
                 f"optimal error {res.e} at n = {n}, a = {a} is not positive: no exponent"
@@ -652,7 +642,7 @@ def error_exponent_sweep(
         rows.append(
             SweepRow(
                 n=n,
-                alpha=res.alpha,
+                alpha=alpha,
                 beta=res.beta,
                 e=res.e,
                 exponent=-math.log(res.e) / scale,

@@ -637,24 +637,27 @@ NP_PAIRS = {
 @pytest.mark.parametrize("pair", NP_PAIRS)
 def test_neyman_pearson_matches_projector_oracle(pair):
     """e from the spectrum alone, and alpha and beta from the projector, agree
-    with alpha, beta and e all read off the projector, whether the projector
-    pass runs after e or first (project=True); e = e^(-a) alpha + beta holds
-    to rounding."""
+    with alpha, beta and e all read off the projector, whether e is read
+    before alpha and beta or after them; e = e^(-a) alpha + beta holds to
+    rounding."""
     s1, s2 = NP_PAIRS[pair]()
     dim = s1.basis.dimension
     for a, scale in ((0.0, 1), (0.3, 1), (-0.2, 1), (0.15, 3), (-0.4, 3)):
         factor = math.exp(-scale * a)
         want = neyman_pearson_projector(s1, s2, a, scale=scale)
-        for project in (False, True):
-            res = neyman_pearson(s1, s2, a, scale=scale, project=project)
-            assert (res.alpha, res.beta, res.e) == pytest.approx(want, abs=1e-12)
-            budget = 256 * dim * np.finfo(float).eps * max(1.0, factor)
-            assert abs(res.e - (factor * res.alpha + res.beta)) <= budget
+        res = neyman_pearson(s1, s2, a, scale=scale)
+        e_first = res.e
+        assert (res.alpha, res.beta, e_first) == pytest.approx(want, abs=1e-12)
+        res = neyman_pearson(s1, s2, a, scale=scale)
+        alpha, beta = res.alpha, res.beta
+        assert (alpha, beta, res.e) == pytest.approx(want, abs=1e-12)
+        budget = 256 * dim * np.finfo(float).eps * max(1.0, factor)
+        for e in (e_first, res.e):
+            assert abs(e - (factor * alpha + beta)) <= budget
 
 
-def test_neyman_pearson_keeps_alpha_and_beta_accurate_at_large_weights():
-    """For e^(-a) >> 1, beta is read from Tr rho2 P, not as e - e^(-a) alpha,
-    whose terms are both near e; and alpha likewise for e^(-a) << 1."""
+def test_neyman_pearson_at_large_weights():
+    """alpha, beta and e stay on the oracle's for e^(-a) far from 1."""
     s1, s2 = chain_states(y2={0: 0.3 + 0.2j})
     for a in (-40.0, -20.0, 20.0, 40.0):
         res = neyman_pearson(s1, s2, a)
@@ -702,23 +705,27 @@ def fock_solves(monkeypatch):
 
 @pytest.mark.parametrize("y2", [None, {0: 0.3 + 0.2j}], ids=["blocks", "mixed"])
 def test_neyman_pearson_solves_only_what_is_read(fock_solves, y2):
-    """Reading e runs one eigvalsh per block and no eigh; alpha and beta run
-    one eigh per block, once; with project=True, as the sweep asks, alpha,
-    beta and e cost one eigh per block and nothing else."""
+    """The call itself solves nothing.  Reading e first runs one eigvalsh per
+    block; alpha and beta then run one eigh per block, once.  Reading alpha
+    first, as the sweep does, makes alpha, beta and e cost one eigh per block
+    and nothing else, and releases the states."""
     s1, s2 = chain_states(y2=y2)
     blocks = len(s1.slices) if s1.slices == s2.slices else 1
     fock_solves.clear()
     res = neyman_pearson(s1, s2, 0.1)
+    assert not fock_solves
     res.e, res.e
     assert fock_solves == {"eigvalsh": blocks}
     for _ in range(2):
         res.alpha, res.beta, res.e
     assert fock_solves == {"eigvalsh": blocks, "eigh": blocks}
     fock_solves.clear()
-    res = neyman_pearson(s1, s2, 0.1, project=True)
+    res = neyman_pearson(s1, s2, 0.1)
     for _ in range(2):
         res.alpha, res.beta, res.e
     assert fock_solves == {"eigh": blocks}
+    assert not hasattr(res, "_states")
+    assert repr(res) == f"NPResult(alpha={res.alpha!r}, beta={res.beta!r}, e={res.e!r})"
 
 
 def test_error_exponent_sweep_solves_once_per_block(fock_solves):
